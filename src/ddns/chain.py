@@ -49,9 +49,6 @@ class Writer:
     def u8(self, v):
         self.parts.append(struct.pack("<B", v))
 
-    def u16(self, v):
-        self.parts.append(struct.pack("<H", v))
-
     def u32(self, v):
         self.parts.append(struct.pack("<I", v))
 
@@ -83,9 +80,6 @@ class Reader:
 
     def u8(self):
         return self._take(1)[0]
-
-    def u16(self):
-        return struct.unpack("<H", self._take(2))[0]
 
     def u32(self):
         return struct.unpack("<I", self._take(4))[0]
@@ -135,7 +129,6 @@ class TxInput:
 class TxOutput:
     value: int
     recipient: str
-    carried_asset: tuple | None = None  # (asset_name, quantity, content_id)
 
 
 @dataclass(frozen=True)
@@ -169,14 +162,6 @@ class Transaction:
         for out in self.outputs:
             w.u64(out.value)
             w.raw(_addr_bytes(out.recipient))
-            if out.carried_asset is None:
-                w.u8(0)
-            else:
-                name, quantity, content_id = out.carried_asset
-                w.u8(1)
-                w.var(name.encode())
-                w.u64(quantity)
-                w.var(content_id.encode())
         if self.asset_op is None:
             w.u8(0)
         else:
@@ -216,14 +201,7 @@ class Transaction:
             TxInput(r.raw(32), r.u32(), r.raw(33), r.raw(64))
             for _ in range(r.u32())
         )
-        outputs = []
-        for _ in range(r.u32()):
-            value = r.u64()
-            recipient = _addr_text(r.raw(21))
-            carried = None
-            if r.u8():
-                carried = (r.var().decode(), r.u64(), r.var().decode())
-            outputs.append(TxOutput(value, recipient, carried))
+        outputs = tuple(TxOutput(r.u64(), _addr_text(r.raw(21))) for _ in range(r.u32()))
         asset_op = None
         if r.u8():
             kind = OP_KINDS[r.u8()]
@@ -237,7 +215,7 @@ class Transaction:
             asset_op = AssetOperation(kind, asset_name, new_content_id, new_owner,
                                       fee_paid, subsidized, policy_keys, auth)
         nonce = r.u64()
-        return cls(tuple(inputs), tuple(outputs), asset_op, nonce)
+        return cls(inputs, outputs, asset_op, nonce)
 
     @property
     def txid(self) -> bytes:
@@ -353,30 +331,33 @@ def block_weight(block: Block) -> int:
 # Difficulty (Dark-Gravity-Wave-style smoothed retarget)
 
 
-def adjust_difficulty(recent_headers) -> int:
-    """Next difficulty target from the trailing header window.
+def retarget(difficulties, timestamps, interval) -> float:
+    """Next difficulty from a trailing window of at least two blocks.
 
-    Retarget ratio is clamped to [1/3, 3] per step and blended with a
-    0.25 smoothing factor to avoid oscillation.
+    `difficulties` run oldest first. The retarget ratio is clamped to
+    [1/3, 3] per step and blended with a 0.25 smoothing factor to avoid
+    oscillation.
     """
-    headers = list(recent_headers)[-DIFFICULTY_WINDOW:]
-    if len(headers) < 2:
-        return headers[-1].difficulty_target if headers else DEFAULT_GENESIS_TARGET
-    old_target = headers[-1].difficulty_target
-    timestamps = sorted(h.timestamp for h in headers)
-    actual_time = max(timestamps[-1] - timestamps[0], 1)
-    target_time = TARGET_BLOCK_TIME * (len(headers) - 1)
-    old_difficulty = MAX_TARGET / old_target
+    old = difficulties[-1]
+    times = sorted(timestamps)
+    actual = max(times[-1] - times[0], 1e-9)
+    target = interval * (len(difficulties) - 1)
+    ratio = min(max(target / actual, 1.0 / DIFFICULTY_CLAMP), DIFFICULTY_CLAMP)
     # Base the proposal on the window-average difficulty: the measured
     # span lags the tip by a full window, and pairing it with the tip
     # difficulty makes the control loop oscillate.
-    avg_difficulty = sum(MAX_TARGET / h.difficulty_target for h in headers) / len(headers)
-    ratio = target_time / actual_time
-    ratio = min(max(ratio, 1.0 / DIFFICULTY_CLAMP), DIFFICULTY_CLAMP)
-    proposed = avg_difficulty * ratio
-    smoothed = old_difficulty + DIFFICULTY_SMOOTHING * (proposed - old_difficulty)
-    new_target = int(MAX_TARGET / smoothed)
-    return min(max(new_target, 1), MAX_TARGET)
+    avg = sum(difficulties) / len(difficulties)
+    return old + DIFFICULTY_SMOOTHING * (avg * ratio - old)
+
+
+def adjust_difficulty(recent_headers) -> int:
+    """Next difficulty target from the trailing header window."""
+    headers = list(recent_headers)[-DIFFICULTY_WINDOW:]
+    if len(headers) < 2:
+        return headers[-1].difficulty_target if headers else DEFAULT_GENESIS_TARGET
+    difficulty = retarget([MAX_TARGET / h.difficulty_target for h in headers],
+                          [h.timestamp for h in headers], TARGET_BLOCK_TIME)
+    return min(max(int(MAX_TARGET / difficulty), 1), MAX_TARGET)
 
 
 def median_time_past(recent_headers) -> int:
@@ -404,11 +385,6 @@ class ChainState:
             w.u32(idx)
             w.u64(out.value)
             w.var(out.recipient.encode())
-            if out.carried_asset:
-                name, quantity, cid = out.carried_asset
-                w.var(name.encode())
-                w.u64(quantity)
-                w.var(cid.encode())
         for name in sorted(self.assets):
             asset = self.assets[name]
             w.var(name.encode())
@@ -495,8 +471,11 @@ def validate_block(block: Block, state: ChainState, now: int | None = None) -> V
         return invalid("bad-timestamp", "timestamp too far in the future")
     if not block.transactions:
         return invalid("bad-tx", "empty block")
-    if header.merkle_root != merkle_root([tx.txid for tx in block.transactions]):
+    txids = [tx.txid for tx in block.transactions]
+    if header.merkle_root != merkle_root(txids):
         return invalid("bad-merkle", "merkle root mismatch")
+    if len(set(txids)) != len(txids):
+        return invalid("bad-tx", "duplicate transaction")
     if block_weight(block) > MAX_BLOCK_WEIGHT:
         return invalid("overweight", f"block weight {block_weight(block)}")
     coinbase = block.transactions[0]
@@ -547,25 +526,33 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
 
 
 def select_transactions(mempool, state: ChainState, budget: int):
-    """Greedy fee-rate order (ties broken by arrival order)."""
+    """Greedy fee-rate order (ties broken by arrival order).
+
+    Only txs whose inputs all exist in `state` are scored; full validation
+    happens once, against the state left by the txs chosen before.
+    """
     scored = []
     for arrival, tx in enumerate(mempool):
-        result = validate_transaction(tx, state)
-        if not result.ok:
+        if any((i.prev_txid, i.index) not in state.utxos for i in tx.inputs):
             continue
         weight = tx_weight(tx)
         fee = transaction_fee(tx, state)
         scored.append((-fee / weight, arrival, tx, weight))
     scored.sort(key=lambda item: (item[0], item[1]))
     chosen = []
+    chosen_ids = set()
     working = state
     used = 0
     for _, _, tx, weight in scored:
         if used + weight > budget:
             continue
+        txid = tx.txid
+        if txid in chosen_ids:
+            continue
         if not validate_transaction(tx, working).ok:
-            continue  # conflicts with an already-selected tx
+            continue  # invalid, or conflicts with an already-selected tx
         chosen.append(tx)
+        chosen_ids.add(txid)
         used += weight
         working = _apply_transaction(working, tx)
     return chosen
@@ -582,11 +569,8 @@ def mine_block(mempool, state: ChainState, coinbase_address: str,
     coinbase_stub = Transaction((), (TxOutput(0, coinbase_address),), None, state.height + 1)
     budget = MAX_BLOCK_WEIGHT - tx_weight(coinbase_stub)
     chosen = select_transactions(mempool, state, budget)
-    working = state
-    fees = 0
-    for tx in chosen:
-        fees += transaction_fee(tx, working)
-        working = _apply_transaction(working, tx)
+    # Every chosen tx spends only outputs of `state`.
+    fees = sum(transaction_fee(tx, state) for tx in chosen)
     coinbase = Transaction(
         (), (TxOutput(BLOCK_SUBSIDY + fees, coinbase_address),), None, state.height + 1)
     txs = (coinbase,) + tuple(chosen)
@@ -635,8 +619,6 @@ class Chain:
         ghash = self.genesis.header.hash
         self.blocks = {ghash: self.genesis}
         self.states = {ghash: genesis_state(self.genesis)}
-        self._arrival = {ghash: 0}
-        self._counter = 1
         self.tip_hash = ghash
 
     @property
@@ -671,8 +653,6 @@ class Chain:
             return AddBlockResult(False, result.code)
         self.blocks[bhash] = block
         self.states[bhash] = apply_block(parent_state, block)
-        self._arrival[bhash] = self._counter
-        self._counter += 1
         if block.header.height <= self.states[self.tip_hash].height:
             return AddBlockResult(True, tip_changed=False)
         old_branch = self.branch(self.tip_hash)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .chain import DEFAULT_GENESIS_TARGET, GENESIS_TIMESTAMP
 from .errors import ConfigError
@@ -83,6 +83,8 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> NodeConfig:
     if not isinstance(rdoc, dict):
         problems.append("resolver must be an object")
     else:
+        for key in sorted(set(rdoc) - {f.name for f in fields(ResolverConfig)}):
+            problems.append(f"unknown field 'resolver.{key}'")
         kwargs = {}
         tlds = rdoc.get("managed_tlds")
         if tlds is not None:
@@ -111,11 +113,6 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> NodeConfig:
             kwargs["cache_dir"] = resolve_path(str(rdoc["cache_dir"]))
         else:
             kwargs["cache_dir"] = os.path.join(data_dir, "resolver-cache")
-        if "invalidate_on_update" in rdoc:
-            if not isinstance(rdoc["invalidate_on_update"], bool):
-                problems.append("resolver.invalidate_on_update must be a boolean")
-            else:
-                kwargs["invalidate_on_update"] = rdoc["invalidate_on_update"]
         resolver = ResolverConfig(**kwargs)
 
     mining_address = doc.get("mining_address")

@@ -280,13 +280,17 @@ def serialize_canonical(cf: ControlFile) -> bytes:
 
 
 def query_records(cf: ControlFile, label: str, rtype: str):
-    """Entries of `rtype` at `label`; falls back to the label's CNAME.
+    """Entries answering `rtype` at `label`; falls back to the label's CNAME.
 
-    No wildcard synthesis: an absent label is simply an empty answer.
+    A TXT query also gets the label's SPF, DKIM and DMARC entries, which
+    go out on the wire as TXT. No wildcard synthesis: an absent label is
+    simply an empty answer.
     """
     by_type = cf.entries_at(label)
-    if rtype in by_type:
-        return list(by_type[rtype])
+    wanted = (rtype, "SPF", "DKIM", "DMARC") if rtype == "TXT" else (rtype,)
+    entries = [entry for logical in wanted for entry in by_type.get(logical, ())]
+    if entries:
+        return entries
     if "CNAME" in by_type and rtype != "CNAME":
         return list(by_type["CNAME"])
     return []

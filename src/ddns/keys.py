@@ -97,16 +97,6 @@ def _point_mul(point, k):
     return _to_affine(_jac_mul((point[0], point[1], 1), k))
 
 
-def _point_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ja = (a[0], a[1], 1)
-    jb = (b[0], b[1], 1)
-    return _to_affine(_jac_add(ja, jb))
-
-
 _G = (GX, GY)
 
 

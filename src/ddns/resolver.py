@@ -21,7 +21,7 @@ from urllib.parse import parse_qs, urlparse
 
 from . import registry
 from .cache import CacheHierarchy
-from .controlfile import parse_control_file
+from .controlfile import parse_control_file, query_records
 from .errors import CorruptionError, DnsParseError, NotFoundError, StoreUnavailableError
 from .wire import (CLASS_IN, DnsMessage, FORMERR, NOERROR, NOTIMP, NXDOMAIN,
                    REFUSED, SERVFAIL, Question, ResourceRecord, TYPE_NAMES,
@@ -44,7 +44,6 @@ class ResolverConfig:
     doh_host: str = "127.0.0.1"
     doh_port: int = 8053
     cache_dir: str = "resolver-cache"
-    invalidate_on_update: bool = True
 
 
 @dataclass(frozen=True)
@@ -168,25 +167,14 @@ class Resolver:
         rtype_name = TYPE_NAMES.get(qtype)
         if rtype_name is None:
             return Answer(NOERROR)
-        wanted = [rtype_name]
-        if rtype_name == "TXT":
-            wanted += ["SPF", "DKIM", "DMARC"]
-        by_type = cf.entries_at(label)
-        records = []
-        chase_target = None
-        if any(logical in by_type for logical in wanted):
-            for logical in wanted:
-                for entry in by_type.get(logical, []):
-                    records.append(record_to_rr(qname, logical, entry, cf.domain))
-        elif "CNAME" in by_type and rtype_name != "CNAME":
-            for entry in by_type["CNAME"]:
-                records.append(record_to_rr(qname, "CNAME", entry, cf.domain))
-                chase_target, _ = decode_name(records[-1].rdata, 0)
-        if chase_target is not None:
+        entries = query_records(cf, label, rtype_name)
+        records = [record_to_rr(qname, entry.rtype, entry, cf.domain) for entry in entries]
+        if entries and entries[0].rtype == "CNAME" and rtype_name != "CNAME":
             if depth >= MAX_CNAME_DEPTH:
                 return Answer(SERVFAIL)
-            if self._managed(chase_target.lower()):
-                chased = self._resolve_cached(chase_target.lower(), qtype, depth + 1)
+            chase_target = decode_name(records[-1].rdata, 0)[0].lower()
+            if self._managed(chase_target):
+                chased = self._resolve_cached(chase_target, qtype, depth + 1)
                 if chased.rcode == SERVFAIL:
                     return Answer(SERVFAIL)
                 if chased.rcode == NOERROR:

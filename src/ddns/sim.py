@@ -15,11 +15,9 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 
-TARGET_INTERVAL = 15.0
-DIFFICULTY_WINDOW = 30
-SMOOTHING = 0.25
-CLAMP = 3.0
-BLOCK_WEIGHT_LIMIT = 4_000_000
+from .chain import DIFFICULTY_WINDOW, MAX_BLOCK_WEIGHT, TARGET_BLOCK_TIME, retarget
+
+TARGET_INTERVAL = float(TARGET_BLOCK_TIME)
 MINIMAL_TX_WU = 240
 REGULAR_TX_WU = 1_000
 
@@ -89,29 +87,19 @@ class SimNode:
         self.mempool: set = set()
         self.confirmed: set = set()
 
-    def window(self, tip: int):
-        headers = []
-        cursor = tip
-        while cursor != -1 and len(headers) < DIFFICULTY_WINDOW:
-            block = self.blocks[cursor]
-            headers.append(block)
-            cursor = block.parent
-        return list(reversed(headers))
-
     def next_difficulty(self, interval: float) -> float:
-        window = self.window(self.tip)
-        if len(window) < 2:
-            return window[-1].difficulty
-        old = window[-1].difficulty
-        # The retarget base is the window-average difficulty, not the tip:
-        # basing it on the tip while the measured span lags a full window
-        # behind makes the loop oscillate instead of converging.
-        avg = sum(b.difficulty for b in window) / len(window)
-        times = sorted(b.timestamp for b in window)
-        actual = max(times[-1] - times[0], 1e-9)
-        target = interval * (len(window) - 1)
-        ratio = min(max(target / actual, 1.0 / CLAMP), CLAMP)
-        return old + SMOOTHING * (avg * ratio - old)
+        difficulties = []
+        timestamps = []
+        cursor = self.tip
+        while cursor != -1 and len(difficulties) < DIFFICULTY_WINDOW:
+            block = self.blocks[cursor]
+            difficulties.append(block.difficulty)
+            timestamps.append(block.timestamp)
+            cursor = block.parent
+        if len(difficulties) < 2:
+            return difficulties[-1]
+        difficulties.reverse()
+        return retarget(difficulties, timestamps, interval)
 
     def branch_set(self, tip: int):
         out = set()
@@ -202,7 +190,7 @@ class Simulation:
         used = 0
         for op in sorted(node.mempool, key=lambda o: self.op_created.get(o, 0.0)):
             weight = self.op_weight.get(op, REGULAR_TX_WU)
-            if used + weight > BLOCK_WEIGHT_LIMIT:
+            if used + weight > MAX_BLOCK_WEIGHT:
                 continue
             chosen.append(op)
             used += weight

@@ -9,7 +9,6 @@ Objects are immutable and never deleted.
 from __future__ import annotations
 
 import os
-import time
 
 from .encoding import b58decode, b58encode, sha256
 from .errors import CorruptionError, InvalidContentIdError, NotFoundError, StoreUnavailableError
@@ -46,7 +45,6 @@ class ContentStore:
             os.makedirs(self._objects_dir, exist_ok=True)
         except OSError as exc:
             raise StoreUnavailableError(str(exc)) from exc
-        self._index_path = os.path.join(root, "index.log")
 
     @property
     def _objects_dir(self) -> str:
@@ -67,8 +65,6 @@ class ContentStore:
             with open(tmp, "wb") as fh:
                 fh.write(payload)
             os.replace(tmp, path)
-            with open(self._index_path, "a") as fh:
-                fh.write(f"{int(time.time())} {content_id}\n")
         except OSError as exc:
             raise StoreUnavailableError(str(exc)) from exc
         return content_id
@@ -92,5 +88,5 @@ class ContentStore:
     def object_count(self) -> int:
         count = 0
         for _, _, files in os.walk(self._objects_dir):
-            count += sum(1 for f in files if not f.endswith(".log") and ".tmp." not in f)
+            count += sum(1 for f in files if ".tmp." not in f)
         return count

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +234,31 @@ def test_select_transactions_respects_budget():
     tx = register_tx(chain.state)
     assert select_transactions([tx], chain.state, budget=tx_weight(tx) - 1) == []
     assert select_transactions([tx], chain.state, budget=tx_weight(tx)) == [tx]
+
+
+def _block_with(state, txs):
+    """A block carrying `txs` after a fee-free coinbase, with valid PoW."""
+    template = None
+    while template is None:
+        template = mine_block([], state, ALICE.address)
+    txs = template.transactions[:1] + tuple(txs)
+    header = replace(template.header, merkle_root=merkle_root([tx.txid for tx in txs]))
+    while int.from_bytes(header.hash, "big") > header.difficulty_target:
+        header = replace(header, nonce=header.nonce + 1)
+    return Block(header, txs)
+
+
+def test_duplicate_transaction_never_enters_a_block():
+    chain = fresh_chain()
+    mined(chain, [register_tx(chain.state)])
+    up = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, chain.state, nonce=1)
+    # the update stays valid after it applies, so only its txid tells the copies apart
+    block = mined(chain, [up, up])
+    assert [tx.txid for tx in block.transactions[1:]] == [up.txid]
+    parent = chain.states[block.header.previous_hash]
+    result = validate_block(_block_with(parent, [up, up]), parent)
+    assert not result.ok and result.detail == "duplicate transaction"
+    assert validate_block(_block_with(parent, [up]), parent).ok
 
 
 # -- reorg --------------------------------------------------------------------

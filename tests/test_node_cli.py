@@ -88,9 +88,10 @@ def test_config_round_trip(tmp_path):
 def test_config_aggregates_all_problems():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"bogus": 1, "genesis": {"timestamp": -5},
-                          "resolver": {"udp_port": 99999}})
+                          "resolver": {"udp_port": 99999, "udp_prot": 53}})
     text = str(err.value)
     assert "bogus" in text and "timestamp" in text and "udp_port" in text
+    assert "resolver.udp_prot" in text
 
 
 def test_config_missing_file():
