@@ -10,6 +10,7 @@ slots zeroed.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,8 @@ MAX_FUTURE_DRIFT = 120
 # would set this in the genesis config.
 DEFAULT_GENESIS_TARGET = MAX_TARGET >> 4
 GENESIS_TIMESTAMP = 1_700_000_000
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,7 @@ class AssetOperation:
     subsidized: bool = False
     policy_keys: tuple = ()            # () or exactly 3 compressed pubkeys
     auth: tuple = ()                   # ((pubkey, 64-byte sig), ...)
+    revision: int = 0                  # the asset revision this op applies to
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,7 @@ class Transaction:
             if op.new_owner is not None:
                 w.raw(_addr_bytes(op.new_owner))
             w.u64(op.fee_paid)
+            w.u64(op.revision)
             w.u8(1 if op.subsidized else 0)
             w.u32(len(op.policy_keys))
             for key in op.policy_keys:
@@ -209,11 +214,12 @@ class Transaction:
             new_content_id = r.var().decode() if r.u8() else None
             new_owner = _addr_text(r.raw(21)) if r.u8() else None
             fee_paid = r.u64()
+            revision = r.u64()
             subsidized = bool(r.u8())
             policy_keys = tuple(r.raw(33) for _ in range(r.u32()))
             auth = tuple((r.raw(33), r.raw(64)) for _ in range(r.u32()))
             asset_op = AssetOperation(kind, asset_name, new_content_id, new_owner,
-                                      fee_paid, subsidized, policy_keys, auth)
+                                      fee_paid, subsidized, policy_keys, auth, revision)
         nonce = r.u64()
         return cls(inputs, outputs, asset_op, nonce)
 
@@ -390,6 +396,7 @@ class ChainState:
             w.var(name.encode())
             w.var(asset.owner_address.encode())
             w.var((asset.ipfs_hash or "").encode())
+            w.u64(asset.revision)
         w.raw(self.tip)
         w.u64(self.height)
         return sha256d(w.getvalue())
@@ -606,9 +613,25 @@ def genesis_state(genesis: Block) -> ChainState:
 class AddBlockResult:
     accepted: bool
     code: str | None = None
-    tip_changed: bool = False
     reorged: bool = False
     returned_txs: list = field(default_factory=list)
+
+
+def reorg_path(tip, candidate, parent, height):
+    """Longest-chain fork choice: None unless `candidate` is higher than `tip`
+    (the first block seen wins a tie), else the `(abandoned, attached)` blocks,
+    each oldest first, found by walking back only to the fork point."""
+    if height(candidate) <= height(tip):
+        return None
+    abandoned, attached = [], []
+    while height(candidate) > height(tip):
+        attached.append(candidate)
+        candidate = parent(candidate)
+    while candidate != tip:
+        abandoned.append(tip)
+        attached.append(candidate)
+        tip, candidate = parent(tip), parent(candidate)
+    return abandoned[::-1], attached[::-1]
 
 
 class Chain:
@@ -629,16 +652,10 @@ class Chain:
     def height(self) -> int:
         return self.state.height
 
-    def branch(self, tip: bytes):
-        """Block hashes from genesis to `tip`, inclusive."""
-        out = []
-        cursor = tip
-        while cursor in self.blocks:
-            out.append(cursor)
-            if cursor == self.genesis.header.hash:
-                break
-            cursor = self.blocks[cursor].header.previous_hash
-        return list(reversed(out))
+    def branch(self, candidate: bytes):
+        """`reorg_path` from the tip to the stored block `candidate`."""
+        return reorg_path(self.tip_hash, candidate, lambda h: self.blocks[h].header.previous_hash,
+                          lambda h: self.blocks[h].header.height)
 
     def add_block(self, block: Block, now: int | None = None) -> AddBlockResult:
         bhash = block.header.hash
@@ -653,24 +670,19 @@ class Chain:
             return AddBlockResult(False, result.code)
         self.blocks[bhash] = block
         self.states[bhash] = apply_block(parent_state, block)
-        if block.header.height <= self.states[self.tip_hash].height:
-            return AddBlockResult(True, tip_changed=False)
-        old_branch = self.branch(self.tip_hash)
-        new_branch = self.branch(bhash)
-        self.tip_hash = bhash
-        reorged = old_branch and old_branch[-1] != new_branch[len(old_branch) - 1]
-        returned = []
-        if reorged:
-            new_set = set(new_branch)
-            abandoned = [h for h in old_branch if h not in new_set]
-            confirmed_ids = {
-                tx.txid
-                for h in new_branch
-                for tx in self.blocks[h].transactions
-            }
-            for h in abandoned:
-                for tx in self.blocks[h].transactions:
-                    if not tx.is_coinbase and tx.txid not in confirmed_ids:
-                        returned.append(tx)
-        return AddBlockResult(True, tip_changed=True, reorged=bool(reorged),
-                              returned_txs=returned)
+        path = self.branch(bhash)
+        if path is None:
+            return AddBlockResult(True)
+        abandoned, attached = path
+        old_tip, self.tip_hash = self.tip_hash, bhash
+        if not abandoned:
+            return AddBlockResult(True)
+        # No txid is confirmed twice on one branch, so a tx of the abandoned
+        # blocks is still confirmed only if an attached block carries it.
+        attached_ids = {tx.txid for h in attached for tx in self.blocks[h].transactions}
+        returned = [tx for h in abandoned for tx in self.blocks[h].transactions
+                    if not tx.is_coinbase and tx.txid not in attached_ids]
+        log.info("reorg depth=%d attached=%d returned_txs=%d old_tip=%s new_tip=%s",
+                 len(abandoned), len(attached), len(returned), old_tip.hex()[:16],
+                 bhash.hex()[:16])
+        return AddBlockResult(True, reorged=True, returned_txs=returned)

@@ -63,13 +63,17 @@ class LocalNode:
             with open(self._blocks_path, "rb") as fh:
                 data = fh.read()
             pos = 0
-            while pos + 4 <= len(data):
-                (length,) = struct.unpack("<I", data[pos:pos + 4])
-                pos += 4
-                block = Block.deserialize(data[pos:pos + length])
-                pos += length
-                if block.header.hash == self.chain.genesis.header.hash:
-                    continue
+            while pos < len(data):
+                length = struct.unpack_from("<I", data, pos)[0] if len(data) - pos >= 4 else None
+                if length is None or len(data) - pos - 4 < length:
+                    # A crash mid-append leaves a partial last record: drop it.
+                    log.warning("blocks.dat: truncating a torn final record of %d bytes at offset %d",
+                                len(data) - pos, pos)
+                    with open(self._blocks_path, "r+b") as fh:
+                        fh.truncate(pos)
+                    break
+                block = Block.deserialize(data[pos + 4:pos + 4 + length])
+                pos += 4 + length
                 result = self.chain.add_block(block, now=block.header.timestamp)
                 if not result.accepted and result.code != "duplicate":
                     raise DdnsError(f"corrupt block file: {result.code}")
@@ -86,8 +90,10 @@ class LocalNode:
             fh.write(struct.pack("<I", len(raw)) + raw)
 
     def _save_mempool(self):
-        with open(self._mempool_path, "w") as fh:
+        tmp = self._mempool_path + f".tmp.{os.getpid()}"
+        with open(tmp, "w") as fh:
             json.dump([tx.serialize().hex() for tx in self.mempool], fh)
+        os.replace(tmp, self._mempool_path)
 
     # -- operations -----------------------------------------------------------
 

@@ -35,6 +35,7 @@ class DomainAsset:
     quantity: int = 1
     units: int = 1
     reissuable: bool = False
+    revision: int = 0      # confirmed updates and transfers so far
 
     @property
     def has_ipfs(self) -> bool:
@@ -152,6 +153,8 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
     if op.kind == "register":
         if op.asset_name in state.assets:
             return invalid("name-taken", op.asset_name)
+        if op.revision != 0:
+            return invalid("stale-revision", "a registration has revision 0")
         if op.new_content_id is None:
             return invalid("asset-rule-violation", "register requires a content id")
         try:
@@ -172,6 +175,9 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
     asset = state.assets.get(op.asset_name)
     if asset is None:
         return invalid("unknown-domain", op.asset_name)
+    if op.revision != asset.revision:
+        return invalid("stale-revision",
+                       f"operation applies to revision {op.revision}, asset is at {asset.revision}")
     if op.kind == "update":
         if op.new_content_id is None:
             return invalid("asset-rule-violation", "update requires a content id")
@@ -215,11 +221,11 @@ def apply_asset_operation(assets: dict, op: AssetOperation) -> dict:
         assets[op.asset_name] = DomainAsset(
             op.asset_name, _registration_owner(op), op.new_content_id)
     elif op.kind == "update":
-        assets[op.asset_name] = replace(assets[op.asset_name],
-                                        ipfs_hash=op.new_content_id)
+        assets[op.asset_name] = replace(assets[op.asset_name], ipfs_hash=op.new_content_id,
+                                        revision=op.revision + 1)
     elif op.kind == "transfer":
-        assets[op.asset_name] = replace(assets[op.asset_name],
-                                        owner_address=op.new_owner)
+        assets[op.asset_name] = replace(assets[op.asset_name], owner_address=op.new_owner,
+                                        revision=op.revision + 1)
     return assets
 
 
@@ -281,7 +287,8 @@ def update_domain(name: str, new_content_id: str, signer: KeyPair,
     if name not in state.assets:
         raise DdnsError(f"unknown domain: {name}")
     op = AssetOperation("update", name, new_content_id=new_content_id,
-                        auth=((signer.public_key, b"\x00" * 64),))
+                        auth=((signer.public_key, b"\x00" * 64),),
+                        revision=state.assets[name].revision)
     return sign_transaction(Transaction((), (), op, nonce), signer)
 
 
@@ -292,7 +299,8 @@ def transfer_domain(name: str, new_owner: str, signer: KeyPair,
         raise DdnsError(f"unknown domain: {name}")
     decode_address(new_owner)
     op = AssetOperation("transfer", name, new_owner=new_owner,
-                        auth=((signer.public_key, b"\x00" * 64),))
+                        auth=((signer.public_key, b"\x00" * 64),),
+                        revision=state.assets[name].revision)
     return sign_transaction(Transaction((), (), op, nonce), signer)
 
 

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 
-from .chain import DIFFICULTY_WINDOW, MAX_BLOCK_WEIGHT, TARGET_BLOCK_TIME, retarget
+from .chain import DIFFICULTY_WINDOW, MAX_BLOCK_WEIGHT, TARGET_BLOCK_TIME, reorg_path, retarget
 
 TARGET_INTERVAL = float(TARGET_BLOCK_TIME)
 MINIMAL_TX_WU = 240
@@ -101,28 +101,25 @@ class SimNode:
         difficulties.reverse()
         return retarget(difficulties, timestamps, interval)
 
-    def branch_set(self, tip: int):
-        out = set()
-        cursor = tip
-        while cursor != -1:
-            out.add(cursor)
-            cursor = self.blocks[cursor].parent
-        return out
+    def branch_set(self, candidate: int):
+        """`reorg_path` from the tip to the stored block `candidate`."""
+        return reorg_path(self.tip, candidate, lambda b: self.blocks[b].parent,
+                          lambda b: self.blocks[b].height)
 
     def adopt(self, block: SimBlock) -> bool:
         """Store a block; returns True when the tip changed (reorg-aware)."""
         self.blocks[block.block_id] = block
-        if block.height <= self.blocks[self.tip].height:
+        path = self.branch_set(block.block_id)
+        if path is None:
             return False
-        old_branch = self.branch_set(self.tip)
-        new_branch = self.branch_set(block.block_id)
+        abandoned, attached = path
         # Conservation: abandoned ops go back to the mempool, newly
         # confirmed ones leave it.
-        for bid in old_branch - new_branch:
+        for bid in abandoned:
             for op in self.blocks[bid].ops:
                 self.confirmed.discard(op)
                 self.mempool.add(op)
-        for bid in new_branch - old_branch:
+        for bid in attached:
             for op in self.blocks[bid].ops:
                 self.mempool.discard(op)
                 self.confirmed.add(op)

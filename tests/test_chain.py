@@ -1,4 +1,6 @@
 import itertools
+import logging
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
                         TARGET_BLOCK_TIME, AssetOperation, Block, BlockHeader,
                         Chain, Transaction, TxInput,
                         adjust_difficulty,
-                        genesis_state, make_genesis, merkle_root, mine_block,
+                        genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
                         select_transactions, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
 from ddns.keys import generate_keypair
@@ -296,6 +298,142 @@ def test_first_seen_tie_break():
     chain.add_block(a)
     chain.add_block(b)
     assert chain.state.tip == a.header.hash
+
+
+def _mined_at(state, txs=(), address=ALICE.address, spacing=15):
+    """A block on `state` with a timestamp `spacing` seconds after its parent."""
+    return mine_block(list(txs), state, address,
+                      now=state.recent_headers[-1].timestamp + spacing)
+
+
+def test_reorg_logs_one_line(caplog):
+    chain = fresh_chain()
+    base = chain.state
+    block_a = _mined_at(base, [register_tx(base)])
+    block_b1 = _mined_at(base, address=BOB.address, spacing=20)
+    with caplog.at_level(logging.INFO, logger="ddns.chain"):
+        for block in (block_a, block_b1):
+            assert chain.add_block(block, now=block.header.timestamp).accepted
+        assert not caplog.records
+        block_b2 = _mined_at(chain.states[block_b1.header.hash], address=BOB.address)
+        assert chain.add_block(block_b2, now=block_b2.header.timestamp).reorged
+    assert [r.getMessage() for r in caplog.records] == [
+        f"reorg depth=1 attached=2 returned_txs=1 old_tip={block_a.header.hash.hex()[:16]}"
+        f" new_tip={block_b2.header.hash.hex()[:16]}"]
+
+
+def _root_path(parent, block):
+    out = []
+    while block is not None:
+        out.append(block)
+        block = parent.get(block)
+    return out
+
+
+def test_reorg_path_matches_a_walk_to_the_root():
+    rng = random.Random(4)
+    pairs = reorgs = 0
+    for _ in range(300):
+        parent, height = {0: None}, {0: 0}
+        for block in range(1, rng.randint(1, 40)):
+            # Mostly recent parents, so side branches grow past the tip.
+            parent[block] = rng.randrange(max(0, block - rng.choice((3, block))), block)
+            height[block] = height[parent[block]] + 1
+        for _ in range(5):
+            tip, candidate = rng.choice(list(parent)), rng.choice(list(parent))
+            got = reorg_path(tip, candidate, parent.get, height.get)
+            if height[candidate] <= height[tip]:
+                assert got is None
+                continue
+            old, new = set(_root_path(parent, tip)), set(_root_path(parent, candidate))
+            assert got == (sorted(old - new, key=height.get), sorted(new - old, key=height.get))
+            pairs += 1
+            reorgs += bool(got[0])
+    assert pairs > 300 and reorgs > 100
+
+
+def _genesis_walk(blocks, tip):
+    out = []
+    while tip in blocks:
+        out.append(tip)
+        tip = blocks[tip].header.previous_hash
+    return out[::-1]
+
+
+def _expected_add(blocks, old_tip, new_tip):
+    """(tip, reorged, returned txids) by comparing whole branches from genesis."""
+    if blocks[new_tip].header.height <= blocks[old_tip].header.height:
+        return old_tip, False, []
+    old_branch, new_branch = _genesis_walk(blocks, old_tip), _genesis_walk(blocks, new_tip)
+    confirmed = {tx.txid for h in new_branch for tx in blocks[h].transactions}
+    abandoned = [h for h in old_branch if h not in set(new_branch)]
+    returned = [tx.txid for h in abandoned for tx in blocks[h].transactions
+                if not tx.is_coinbase and tx.txid not in confirmed]
+    return new_tip, bool(abandoned), returned
+
+
+def test_random_forks_match_a_walk_to_genesis():
+    rng = random.Random(11)
+    chain = fresh_chain()
+    keys = {kp.address: kp for kp in (ALICE, BOB)}
+    pool = []  # every signed op so far; old ones are offered again on other branches
+    seen = {"reorgs": 0, "returned": 0, "reconfirmed": 0}
+
+    def add_on(parent_hash, step):
+        state = chain.states[parent_hash]
+        fresh = []
+        if rng.random() < 0.5:
+            fresh.append(registry.register_domain(f"DDNS/N{step}", CID, rng.choice((ALICE, BOB)),
+                                                  state, nonce=step))
+        for name in rng.sample(sorted(state.assets), k=min(2, len(state.assets))):
+            owner = keys[state.assets[name].owner_address]
+            if rng.random() < 0.7:
+                op = registry.update_domain(name, content_id_of(rng.randbytes(8)), owner, state,
+                                            nonce=step)
+            else:
+                op = registry.transfer_domain(name, rng.choice(list(keys)), owner, state, nonce=step)
+            fresh.append(op)
+        offered = fresh + rng.sample(pool, k=min(3, len(pool)))
+        pool.extend(fresh)
+        block = _mined_at(state, offered, rng.choice(list(keys)), spacing=rng.randint(1, 30))
+        old_tip = chain.tip_hash
+        result = chain.add_block(block, now=block.header.timestamp)
+        assert result.accepted, result.code
+        tip, reorged, returned_ids = _expected_add(chain.blocks, old_tip, block.header.hash)
+        assert chain.tip_hash == tip
+        assert result.reorged == reorged
+        assert [tx.txid for tx in result.returned_txs] == returned_ids
+        if reorged:
+            new_branch = set(_genesis_walk(chain.blocks, tip))
+            abandoned_txs = sum(len(chain.blocks[h].transactions) - 1
+                                for h in _genesis_walk(chain.blocks, old_tip) if h not in new_branch)
+            seen["reorgs"] += 1
+            seen["returned"] += len(returned_ids)
+            seen["reconfirmed"] += abandoned_txs - len(returned_ids)
+        return block.header.hash
+
+    for step in range(33):
+        roll = rng.random() if step >= 3 else 1.0
+        if roll < 0.35:
+            # A competing branch forks 1-3 blocks below the tip and overtakes it.
+            depth = rng.randint(1, 3)
+            fork = chain.tip_hash
+            for _ in range(depth):
+                fork = chain.blocks[fork].header.previous_hash
+            for i in range(depth + 1):
+                fork = add_on(fork, 100 * step + i)
+        elif roll < 0.5:
+            # A stale block that only ties the tip.
+            add_on(chain.blocks[chain.tip_hash].header.previous_hash, 100 * step)
+        else:
+            add_on(chain.tip_hash, 100 * step)
+    # The sequence reorgs, hands txs back, and mines some txs on both sides of a fork.
+    assert seen["reorgs"] >= 5 and seen["returned"] > 0 and seen["reconfirmed"] > 0, seen
+    replayed = fresh_chain()
+    for h in _genesis_walk(chain.blocks, chain.tip_hash)[1:]:
+        block = chain.blocks[h]
+        assert replayed.add_block(block, now=block.header.timestamp).accepted
+    assert replayed.state.digest() == chain.state.digest()
 
 
 # -- properties ---------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import logging
 import os
 
 import pytest
 
 from conftest import fixture_bytes
+from ddns.chain import GENESIS_TIMESTAMP
 from ddns.cli import main
 from ddns.config import NodeConfig, config_from_dict, load_config
 from ddns.errors import ConfigError, DdnsError
@@ -13,6 +15,7 @@ from ddns import registry
 from ddns.store import content_id_of
 
 ALICE = generate_keypair(b"\x01" * 32)
+BOB = generate_keypair(b"\x02" * 32)
 CID = content_id_of(b"zone")
 
 
@@ -70,6 +73,94 @@ def test_invalid_transaction_rejected_by_node(tmp_path):
     node.mine(1, ALICE.address)
     with pytest.raises(DdnsError):
         node.submit_transaction(tx)  # name now taken
+
+
+def _mine_at(node, blocks, address=ALICE.address):
+    """Mine `blocks` blocks 15 s apart after the tip, on a fixed clock."""
+    for _ in range(blocks):
+        node.mine(1, address, now=node.state.recent_headers[-1].timestamp + 15)
+
+
+def test_reopen_after_reorg_keeps_state(tmp_path):
+    config = NodeConfig(data_dir=str(tmp_path / "a"))
+    node = LocalNode(config)
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "b")))
+    tx = registry.register_domain("DDNS/REORGED", CID, ALICE, node.state, nonce=1)
+    node.submit_transaction(tx)
+    _mine_at(node, 1)
+    _mine_at(rival, 2, BOB.address)
+    now = GENESIS_TIMESTAMP + 60
+    results = [node.accept_block(rival.chain.blocks[h], now=now)
+               for h in (rival.chain.blocks[rival.chain.tip_hash].header.previous_hash,
+                         rival.chain.tip_hash)]
+    assert [r.reorged for r in results] == [False, True]
+    assert [t.txid for t in node.mempool] == [tx.txid]
+    _mine_at(node, 1)
+    assert "DDNS/REORGED" in node.state.assets
+    reopened = LocalNode(config)
+    assert reopened.chain.tip_hash == node.chain.tip_hash
+    assert reopened.state.digest() == node.state.digest()
+
+
+def _node_with_blocks(tmp_path, blocks):
+    config = NodeConfig(data_dir=str(tmp_path))
+    _mine_at(LocalNode(config), blocks)
+    return config, tmp_path / "blocks.dat"
+
+
+def test_torn_last_block_record_is_truncated(tmp_path, caplog):
+    config, path = _node_with_blocks(tmp_path, 3)
+    whole = path.read_bytes()
+    chain = LocalNode(config).chain
+    last_record = 4 + len(chain.blocks[chain.tip_hash].serialize())
+    path.write_bytes(whole[:-10])
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        node = LocalNode(config)
+    assert node.chain.height == 2
+    assert len(caplog.records) == 1 and "torn" in caplog.records[0].getMessage()
+    assert path.read_bytes() == whole[:-last_record]
+    _mine_at(node, 1)
+    assert LocalNode(config).chain.height == 3
+
+
+def test_stray_bytes_after_last_record_are_truncated(tmp_path):
+    config, path = _node_with_blocks(tmp_path, 2)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b"\x01\x02")
+    node = LocalNode(config)
+    assert node.chain.height == 2 and path.read_bytes() == whole
+    _mine_at(node, 1)
+    assert LocalNode(config).chain.height == 3
+
+
+def test_corrupt_whole_block_record_still_fails(tmp_path):
+    config, path = _node_with_blocks(tmp_path, 2)
+    data = bytearray(path.read_bytes())
+    data[4 + 32 + 5] ^= 0xFF  # the merkle root of the first block
+    path.write_bytes(bytes(data))
+    with pytest.raises(DdnsError):
+        LocalNode(config)
+
+
+def test_failed_mempool_save_keeps_previous_file(tmp_path, monkeypatch):
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
+    first = registry.register_domain("DDNS/FIRST", CID, ALICE, node.state, nonce=1)
+    node.submit_transaction(first)
+    path = tmp_path / "mempool.json"
+    before = path.read_bytes()
+
+    def torn_dump(obj, fh):
+        fh.write(json.dumps(obj)[:10])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    second = registry.register_domain("DDNS/SECOND", CID, ALICE, node.state, nonce=2)
+    with pytest.raises(OSError):
+        node.submit_transaction(second)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [t.txid for t in LocalNode(config).mempool] == [first.txid]
 
 
 # -- config ----------------------------------------------------------------------

@@ -252,3 +252,61 @@ def test_name_validation_never_crashes(segment):
     ok = (len(segment) <= 30 and segment[0] not in "._"
           and segment[-1] not in "._" and ".." not in segment)
     assert result.ok == ok
+
+
+# -- replay protection ------------------------------------------------------------
+
+CID3 = content_id_of(b"zone-v3")
+
+
+def test_replayed_update_rejected_and_not_mined():
+    chain = chain_with()
+    first = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, chain.state, nonce=1)
+    chain.add_block(mine_block([first], chain.state, ALICE.address))
+    second = registry.update_domain("DDNS/EXAMPLE", CID3, ALICE, chain.state, nonce=2)
+    chain.add_block(mine_block([second], chain.state, ALICE.address))
+    result = validate_transaction(first, chain.state)
+    assert not result.ok and result.code == "stale-revision"
+    block = mine_block([first], chain.state, ALICE.address)
+    assert block.transactions[1:] == ()
+    chain.add_block(block)
+    assert chain.state.assets["DDNS/EXAMPLE"].ipfs_hash == CID3
+    assert chain.state.assets["DDNS/EXAMPLE"].revision == 2
+
+
+def test_replayed_transfer_rejected():
+    chain = chain_with()
+    to_bob = registry.transfer_domain("DDNS/EXAMPLE", BOB.address, ALICE, chain.state, nonce=1)
+    chain.add_block(mine_block([to_bob], chain.state, ALICE.address))
+    back = registry.transfer_domain("DDNS/EXAMPLE", ALICE.address, BOB, chain.state, nonce=2)
+    chain.add_block(mine_block([back], chain.state, BOB.address))
+    result = validate_transaction(to_bob, chain.state)
+    assert not result.ok and result.code == "stale-revision"
+    assert chain.state.assets["DDNS/EXAMPLE"].owner_address == ALICE.address
+
+
+def test_replayed_multisig_update_rejected():
+    chain, policy = _multisig_chain()
+    first = _multisig_update(chain, policy, (ALICE, BOB))
+    chain.add_block(mine_block([first], chain.state, ALICE.address))
+    op = AssetOperation("update", "DDNS/VAULT", new_content_id=CID3,
+                        policy_keys=tuple(policy.keys),
+                        auth=((BOB.public_key, b"\x00" * 64), (CAROL.public_key, b"\x00" * 64)),
+                        revision=1)
+    second = sign_transaction(sign_transaction(Transaction((), (), op, 2), BOB), CAROL)
+    assert validate_transaction(second, chain.state).ok
+    chain.add_block(mine_block([second], chain.state, ALICE.address))
+    result = validate_transaction(first, chain.state)
+    assert not result.ok and result.code == "stale-revision"
+    assert chain.state.assets["DDNS/VAULT"].ipfs_hash == CID3
+
+
+def test_revision_is_signed_and_serialized():
+    chain = chain_with()
+    tx = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, chain.state)
+    bumped = Transaction((), (), AssetOperation(**{**tx.asset_op.__dict__, "revision": 7}), tx.nonce)
+    assert Transaction.deserialize(bumped.serialize()) == bumped
+    assert bumped.signing_bytes != tx.signing_bytes
+    register = registry.register_domain("DDNS/OTHER", CID, ALICE, chain.state)
+    stale = Transaction((), (), AssetOperation(**{**register.asset_op.__dict__, "revision": 1}), 0)
+    assert validate_transaction(stale, chain.state).code == "stale-revision"
