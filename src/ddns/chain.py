@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .encoding import sha256d
 from .errors import SerializationError
@@ -96,6 +97,12 @@ class Reader:
     def var(self):
         return self._take(self.u32())
 
+    def text(self) -> str:
+        try:
+            return self.var().decode()
+        except UnicodeDecodeError:
+            raise SerializationError("text field is not UTF-8") from None
+
     def done(self) -> bool:
         return self.pos == len(self.data)
 
@@ -149,12 +156,46 @@ class AssetOperation:
 
 @dataclass(frozen=True)
 class Transaction:
+    """Every field is immutable, so the encodings, the txid and each signature
+    check are computed at most once per object; `replace()` builds a new one."""
     inputs: tuple
     outputs: tuple
     asset_op: AssetOperation | None = None
     nonce: int = 0
 
-    def serialize(self, for_signing: bool = False) -> bytes:
+    def serialize(self) -> bytes:
+        return self._bytes
+
+    @cached_property
+    def _bytes(self) -> bytes:
+        return self._encode(for_signing=False)
+
+    @cached_property
+    def signing_bytes(self) -> bytes:
+        return self._encode(for_signing=True)
+
+    @cached_property
+    def txid(self) -> bytes:
+        return sha256d(self._bytes)
+
+    @cached_property
+    def _sig_results(self) -> dict:
+        return {}
+
+    def sig_ok(self, pubkey: bytes, sig: bytes) -> bool:
+        """`verify` of `sig` by `pubkey` over the signing bytes, once per pair.
+
+        A malformed key or signature raises, as `verify` does, and is not
+        remembered.
+        """
+        results = self._sig_results
+        ok = results.get((pubkey, sig))
+        if ok is None:
+            ok = results[(pubkey, sig)] = verify(pubkey, self.signing_bytes,
+                                                 Signature.from_bytes(sig))
+        return ok
+
+    def _encode(self, for_signing: bool) -> bytes:
         w = Writer()
         w.u32(len(self.inputs))
         for txin in self.inputs:
@@ -209,27 +250,21 @@ class Transaction:
         outputs = tuple(TxOutput(r.u64(), _addr_text(r.raw(21))) for _ in range(r.u32()))
         asset_op = None
         if r.u8():
-            kind = OP_KINDS[r.u8()]
-            asset_name = r.var().decode()
-            new_content_id = r.var().decode() if r.u8() else None
+            kind = r.u8()
+            if kind >= len(OP_KINDS):
+                raise SerializationError(f"unknown asset operation kind {kind}")
+            asset_name = r.text()
+            new_content_id = r.text() if r.u8() else None
             new_owner = _addr_text(r.raw(21)) if r.u8() else None
             fee_paid = r.u64()
             revision = r.u64()
             subsidized = bool(r.u8())
             policy_keys = tuple(r.raw(33) for _ in range(r.u32()))
             auth = tuple((r.raw(33), r.raw(64)) for _ in range(r.u32()))
-            asset_op = AssetOperation(kind, asset_name, new_content_id, new_owner,
+            asset_op = AssetOperation(OP_KINDS[kind], asset_name, new_content_id, new_owner,
                                       fee_paid, subsidized, policy_keys, auth, revision)
         nonce = r.u64()
         return cls(inputs, outputs, asset_op, nonce)
-
-    @property
-    def txid(self) -> bytes:
-        return sha256d(self.serialize())
-
-    @property
-    def signing_bytes(self) -> bytes:
-        return self.serialize(for_signing=True)
 
     @property
     def is_coinbase(self) -> bool:
@@ -410,7 +445,6 @@ def validate_transaction(tx: Transaction, state: ChainState) -> ValidationResult
 
     if tx.is_coinbase:
         return invalid("bad-tx", "coinbase outside block context")
-    signing = tx.signing_bytes
     seen = set()
     total_in = 0
     for i, txin in enumerate(tx.inputs):
@@ -424,7 +458,7 @@ def validate_transaction(tx: Transaction, state: ChainState) -> ValidationResult
         try:
             if derive_address(txin.public_key) != utxo.recipient:
                 return invalid("bad-signature", f"input {i} key does not own output")
-            if not verify(txin.public_key, signing, Signature.from_bytes(txin.signature)):
+            if not tx.sig_ok(txin.public_key, txin.signature):
                 return invalid("bad-signature", f"input {i} signature invalid")
         except Exception:
             return invalid("bad-signature", f"input {i} malformed key or signature")

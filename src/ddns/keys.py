@@ -3,6 +3,18 @@
 Signing is deterministic (RFC 6979 nonce derivation) and signatures are
 low-s normalized, so serialized transactions are reproducible byte for
 byte across runs.
+
+Scalar multiplication, in pure Python, uses three techniques from
+libsecp256k1:
+- a fixed-base table for G: 32 windows of 8 bits, 255 affine points each,
+  so k * G is at most 32 mixed Jacobian+affine additions and no doublings.
+  The table is built lazily, on the first multiplication by G (about 0.1 s),
+  with one batched (Montgomery) inversion, so commands that never sign or
+  verify do not pay for it;
+- the GLV endomorphism, which splits the public-key scalar u2 into two
+  halves of about 128 bits, k1 + k2 * LAMBDA, that share one doubling chain;
+- width-5 NAF digits for both halves, over a small table of odd multiples
+  of the public key.
 """
 
 from __future__ import annotations
@@ -24,6 +36,18 @@ ADDRESS_VERSION = 0x37      # single-key addresses
 MULTISIG_VERSION = 0x4B     # 2-of-3 policy addresses
 
 _INF = None  # point at infinity marker in Jacobian routines
+
+# The secp256k1 endomorphism: LAMBDA * (x, y) == (BETA * x, y) for every point.
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# A short basis of the lattice {(a, b) : a + b * LAMBDA == 0 mod N}.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+G_WINDOW_BITS = 8
+WNAF_WIDTH = 5
 
 
 def _inv(a: int, m: int) -> int:
@@ -71,15 +95,21 @@ def _jac_add(p, q):
     return (nx, ny, nz)
 
 
-def _jac_mul(p, k):
-    acc = _INF
-    add = p
-    while k:
-        if k & 1:
-            acc = _jac_add(acc, add)
-        add = _jac_double(add)
-        k >>= 1
-    return acc
+def _madd(p, q):
+    """Jacobian `p` plus affine `q`: the Z2 = 1 case of `_jac_add`."""
+    if p is _INF:
+        return (q[0], q[1], 1)
+    x1, y1, z1 = p
+    z1s = (z1 * z1) % P
+    h = (q[0] * z1s - x1) % P
+    r = (q[1] * z1s * z1 - y1) % P
+    if h == 0:
+        return _jac_double(p) if r == 0 else _INF
+    hs = (h * h) % P
+    hc = (hs * h) % P
+    v = (x1 * hs) % P
+    nx = (r * r - hc - 2 * v) % P
+    return (nx, (r * (v - nx) - y1 * hc) % P, (z1 * h) % P)
 
 
 def _to_affine(p):
@@ -91,13 +121,116 @@ def _to_affine(p):
     return ((x * zi2) % P, (y * zi2 * zi) % P)
 
 
-def _point_mul(point, k):
-    if point is None:
-        return None
-    return _to_affine(_jac_mul((point[0], point[1], 1), k))
+def _batch_affine(points):
+    """Affine forms of finite Jacobian points, with one inversion in all
+    (Montgomery's trick: invert the product, then peel off each factor)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = (acc * z) % P
+    inv = _inv(acc, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = (inv * prefix[i]) % P
+        inv = (inv * z) % P
+        zi2 = (zi * zi) % P
+        out[i] = ((x * zi2) % P, (y * zi2 * zi) % P)
+    return out
 
 
-_G = (GX, GY)
+_G_TABLE = None
+
+
+def _g_table():
+    """Row i holds j * 2^(8i) * G for j = 1..255, affine; built on first use."""
+    global _G_TABLE
+    if _G_TABLE is None:
+        size = (1 << G_WINDOW_BITS) - 1
+        points = []
+        base = (GX, GY)
+        for _ in range(256 // G_WINDOW_BITS):
+            row = [(base[0], base[1], 1)]
+            for _ in range(size - 1):
+                row.append(_madd(row[-1], base))
+            points.extend(row)
+            base = _to_affine(_jac_double(row[size // 2]))  # 2 * (128 * base)
+        flat = _batch_affine(points)
+        _G_TABLE = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return _G_TABLE
+
+
+def _g_mul(k: int):
+    """k * G (Jacobian) for 0 <= k < 2^256: one table add per nonzero window."""
+    acc = _INF
+    mask = (1 << G_WINDOW_BITS) - 1
+    for row in _g_table():
+        digit = k & mask
+        if digit:
+            acc = _madd(acc, row[digit - 1])
+        k >>= G_WINDOW_BITS
+    return acc
+
+
+def _wnaf(k: int) -> list:
+    """Width-5 NAF of k >= 0, least significant digit first: every digit is 0
+    or odd in [-15, 15], and any nonzero digit is followed by four zeros."""
+    digits = []
+    full = 1 << WNAF_WIDTH
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        digits += [0] * zeros
+        k >>= zeros
+        digit = k & (full - 1)
+        if digit >= full >> 1:
+            digit -= full
+        digits.append(digit)
+        k = (k - digit) >> 1
+    return digits
+
+
+def _glv_split(k: int):
+    """(k1, k2), each of at most 129 bits, with k1 + k2 * LAMBDA == k mod N."""
+    c1 = (_B2 * k + N // 2) // N
+    c2 = (-_B1 * k + N // 2) // N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _mul(point, k: int):
+    """k * point (Jacobian) for an affine point: k is split as k1 + k2 * LAMBDA,
+    and both halves run through one shared doubling chain as width-5 NAFs."""
+    x, y = point
+    odd = [(x, y, 1)]
+    twice = _jac_double(odd[0])
+    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+        odd.append(_jac_add(odd[-1], twice))
+    odd = _batch_affine(odd)  # point, 3 * point, ..., 15 * point
+    halves = []
+    for part, endo in zip(_glv_split(k % N), (False, True)):
+        # digit d -> d * R, where R is the point for k1 and LAMBDA * point for
+        # k2, negated when that half is negative
+        table = {}
+        for j, (ox, oy) in enumerate(odd):
+            if endo:
+                ox = (ox * BETA) % P
+            if part < 0:
+                oy = P - oy
+            table[2 * j + 1] = (ox, oy)
+            table[-2 * j - 1] = (ox, P - oy)
+        halves.append((_wnaf(abs(part)), table))
+    (n1, t1), (n2, t2) = halves
+    size = max(len(n1), len(n2))
+    n1 += [0] * (size - len(n1))
+    n2 += [0] * (size - len(n2))
+    acc = _INF
+    for i in range(size - 1, -1, -1):
+        acc = _jac_double(acc)
+        if n1[i]:
+            acc = _madd(acc, t1[n1[i]])
+        if n2[i]:
+            acc = _madd(acc, t2[n2[i]])
+    return acc
 
 
 def _on_curve(point) -> bool:
@@ -160,8 +293,7 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     sk = int.from_bytes(seed, "big") % N
     if sk == 0:
         raise InvalidSeedError("seed reduces to the zero scalar")
-    pub = _point_mul(_G, sk)
-    return KeyPair(sk, encode_point(pub))
+    return KeyPair(sk, encode_point(_to_affine(_g_mul(sk))))
 
 
 def _rfc6979_nonce(sk: int, digest: bytes) -> int:
@@ -192,7 +324,7 @@ def sign(sk: int, message: bytes) -> Signature:
     z = int.from_bytes(digest, "big") % N
     while True:
         k = _rfc6979_nonce(sk, digest)
-        point = _point_mul(_G, k)
+        point = _to_affine(_g_mul(k))
         r = point[0] % N
         if r == 0:
             digest = sha256(digest)
@@ -221,7 +353,7 @@ def verify(pk: bytes, message: bytes, sig: Signature) -> bool:
     w = _inv(sig.s, N)
     u1 = (z * w) % N
     u2 = (sig.r * w) % N
-    pt = _to_affine(_jac_add(_jac_mul((GX, GY, 1), u1), _jac_mul((point[0], point[1], 1), u2)))
+    pt = _to_affine(_jac_add(_g_mul(u1), _mul(point, u2)))
     if pt is None:
         return False
     return pt[0] % N == sig.r

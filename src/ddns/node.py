@@ -13,7 +13,8 @@ import os
 import struct
 import threading
 
-from .chain import Block, Chain, Transaction, make_genesis, mine_block, validate_transaction
+from .chain import (MAX_BLOCK_WEIGHT, WEIGHT_PER_BYTE, Block, Chain, Transaction, make_genesis,
+                    mine_block, validate_transaction)
 from .config import NodeConfig
 from .encoding import sha256d
 from .errors import DdnsError
@@ -23,6 +24,10 @@ from .store import ContentStore
 log = logging.getLogger(__name__)
 
 KEY_FILE_MAGIC = b"DDNSKEY1"
+# A valid block holds at most MAX_BLOCK_WEIGHT // WEIGHT_PER_BYTE bytes of
+# transactions; its header and the 4-byte length before each tx (never longer
+# than the tx) add less than that again.
+MAX_RECORD_BYTES = 2 * (MAX_BLOCK_WEIGHT // WEIGHT_PER_BYTE)
 
 
 def save_key_file(path: str, keypair: KeyPair):
@@ -65,6 +70,9 @@ class LocalNode:
             pos = 0
             while pos < len(data):
                 length = struct.unpack_from("<I", data, pos)[0] if len(data) - pos >= 4 else None
+                if length is not None and length > MAX_RECORD_BYTES:
+                    raise DdnsError(f"corrupt block file: record at offset {pos} claims "
+                                    f"{length} bytes, over the {MAX_RECORD_BYTES}-byte cap")
                 if length is None or len(data) - pos - 4 < length:
                     # A crash mid-append leaves a partial last record: drop it.
                     log.warning("blocks.dat: truncating a torn final record of %d bytes at offset %d",
@@ -113,11 +121,13 @@ class LocalNode:
             result = self.chain.add_block(block, now=now)
             if result.accepted:
                 self._append_block(block)
-                confirmed = {tx.txid for tx in block.transactions}
-                self.mempool = [tx for tx in self.mempool if tx.txid not in confirmed]
-                for tx in result.returned_txs:
-                    if validate_transaction(tx, self.chain.state).ok:
-                        self.mempool.append(tx)
+                # Keep only what the new tip still accepts: a confirmed tx and
+                # its rivals now spend spent outputs or name a taken name or a
+                # stale revision. These objects were verified before, so this
+                # checks no signature again.
+                state = self.chain.state
+                self.mempool = [tx for tx in self.mempool + result.returned_txs
+                                if validate_transaction(tx, state).ok]
                 self._save_mempool()
             return result
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 from .chain import (AssetOperation, ChainState, REGISTRATION_FEE, Transaction,
                     TxOutput, ValidationResult, invalid, sign_transaction, valid)
 from .errors import DdnsError, InvalidAddressError
-from .keys import (KeyPair, Signature, decode_address, derive_address,
-                   multisig_address, verify, MULTISIG_VERSION)
+from .keys import KeyPair, decode_address, derive_address, multisig_address, MULTISIG_VERSION
 from .store import decode_content_id
 
 SUBSIDIZED_ROOT = "DDNS"
@@ -106,9 +105,9 @@ def _op_is_subsidizable(asset_name: str) -> bool:
     return asset_name.split("/")[0] == SUBSIDIZED_ROOT
 
 
-def _verify_auth(op: AssetOperation, signing_bytes: bytes,
-                 expected_owner: str) -> ValidationResult:
-    """Check op.auth signatures against a single-key or multisig owner."""
+def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
+    """Check tx.asset_op.auth signatures against a single-key or multisig owner."""
+    op = tx.asset_op
     try:
         version, _ = decode_address(expected_owner)
     except InvalidAddressError:
@@ -125,7 +124,7 @@ def _verify_auth(op: AssetOperation, signing_bytes: bytes,
             if pubkey not in op.policy_keys:
                 continue
             try:
-                if verify(pubkey, signing_bytes, Signature.from_bytes(sig)):
+                if tx.sig_ok(pubkey, sig):
                     signers.add(pubkey)
             except Exception:
                 continue
@@ -137,7 +136,7 @@ def _verify_auth(op: AssetOperation, signing_bytes: bytes,
         try:
             if derive_address(pubkey) != expected_owner:
                 continue
-            if verify(pubkey, signing_bytes, Signature.from_bytes(sig)):
+            if tx.sig_ok(pubkey, sig):
                 return valid()
         except Exception:
             continue
@@ -149,7 +148,6 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
     name_check = validate_asset_name(op.asset_name)
     if not name_check.ok:
         return invalid("invalid-name", f"{name_check.code}: {name_check.detail}")
-    signing = tx.signing_bytes
     if op.kind == "register":
         if op.asset_name in state.assets:
             return invalid("name-taken", op.asset_name)
@@ -171,7 +169,7 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
         owner = _registration_owner(op)
         if owner is None:
             return invalid("asset-rule-violation", "cannot determine new owner")
-        return _verify_auth(op, signing, owner)
+        return _verify_auth(tx, owner)
     asset = state.assets.get(op.asset_name)
     if asset is None:
         return invalid("unknown-domain", op.asset_name)
@@ -185,7 +183,7 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
             decode_content_id(op.new_content_id)
         except Exception:
             return invalid("asset-rule-violation", "malformed content id")
-        return _verify_auth(op, signing, asset.owner_address)
+        return _verify_auth(tx, asset.owner_address)
     if op.kind == "transfer":
         if op.new_owner is None:
             return invalid("asset-rule-violation", "transfer requires a new owner")
@@ -193,7 +191,7 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
             decode_address(op.new_owner)
         except InvalidAddressError:
             return invalid("invalid-address", op.new_owner)
-        return _verify_auth(op, signing, asset.owner_address)
+        return _verify_auth(tx, asset.owner_address)
     return invalid("asset-rule-violation", f"unknown kind {op.kind!r}")
 
 

@@ -30,6 +30,16 @@ def fixture_bytes(name: str) -> bytes:
 
 
 @pytest.fixture
+def verify_calls(monkeypatch):
+    """The public key of every signature check the chain makes, in order."""
+    import ddns.chain
+    calls = []
+    real = ddns.chain.verify
+    monkeypatch.setattr(ddns.chain, "verify", lambda pk, *rest: calls.append(pk) or real(pk, *rest))
+    return calls
+
+
+@pytest.fixture
 def alice():
     return generate_keypair(b"\x01" * 32)
 

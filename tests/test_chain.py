@@ -14,6 +14,7 @@ from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
                         genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
                         select_transactions, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
+from ddns.errors import SerializationError
 from ddns.keys import generate_keypair
 from ddns.store import content_id_of
 from ddns import registry
@@ -60,6 +61,22 @@ def test_signing_bytes_exclude_signatures():
                         tx.nonce)
     assert tx.signing_bytes == blank.signing_bytes
     assert tx.serialize() != blank.serialize()
+
+
+def test_unknown_op_kind_is_a_serialization_error():
+    raw = bytearray(register_tx(genesis_state(make_genesis())).serialize())
+    kind_at = raw.index(b"DDNS/EXAMPLE") - 5  # the kind byte, then the name's length
+    assert raw[kind_at] == 0
+    raw[kind_at] = 9
+    with pytest.raises(SerializationError):
+        Transaction.deserialize(bytes(raw))
+
+
+def test_non_utf8_name_is_a_serialization_error():
+    raw = bytearray(register_tx(genesis_state(make_genesis())).serialize())
+    raw[raw.index(b"DDNS/EXAMPLE")] = 0xFF
+    with pytest.raises(SerializationError):
+        Transaction.deserialize(bytes(raw))
 
 
 def test_block_round_trip():
@@ -254,13 +271,50 @@ def test_duplicate_transaction_never_enters_a_block():
     chain = fresh_chain()
     mined(chain, [register_tx(chain.state)])
     up = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, chain.state, nonce=1)
-    # the update stays valid after it applies, so only its txid tells the copies apart
+    # the second copy is stale once the first applies; the detail names the txid check
     block = mined(chain, [up, up])
     assert [tx.txid for tx in block.transactions[1:]] == [up.txid]
     parent = chain.states[block.header.previous_hash]
     result = validate_block(_block_with(parent, [up, up]), parent)
     assert not result.ok and result.detail == "duplicate transaction"
     assert validate_block(_block_with(parent, [up]), parent).ok
+
+
+# -- the per-transaction signature memo -----------------------------------------
+
+def test_a_flipped_signature_copy_is_rejected_after_the_original_passed():
+    state = genesis_state(make_genesis())
+    tx = register_tx(state)
+    assert validate_transaction(tx, state).ok
+    pubkey, sig = tx.asset_op.auth[0]
+    bad_sig = bytes([sig[0] ^ 1]) + sig[1:]
+    flipped = replace(tx, asset_op=replace(tx.asset_op, auth=((pubkey, bad_sig),)))
+    assert flipped.signing_bytes == tx.signing_bytes
+    result = validate_transaction(flipped, state)
+    assert not result.ok and result.code == "not-owner"
+    assert validate_transaction(tx, state).ok
+
+
+def test_a_valid_input_signature_does_not_vouch_for_a_bad_auth_slot():
+    chain = fresh_chain()
+    mined(chain)
+    tx = registry.register_domain("WEB3/SLOTS", CID, ALICE, chain.state)
+    pubkey, sig = tx.asset_op.auth[0]
+    assert tx.inputs[0].public_key == pubkey and validate_transaction(tx, chain.state).ok
+    forged = replace(tx, asset_op=replace(tx.asset_op, auth=((pubkey, b"\x01" * 64),)))
+    result = validate_transaction(forged, chain.state)
+    assert not result.ok and result.code == "not-owner"
+
+
+def test_signature_results_are_remembered_per_object(verify_calls):
+    state = genesis_state(make_genesis())
+    tx = register_tx(state)
+    for _ in range(3):
+        assert validate_transaction(tx, state).ok
+    assert verify_calls == [ALICE.public_key]
+    copy = replace(tx)
+    assert copy == tx and validate_transaction(copy, state).ok
+    assert verify_calls == [ALICE.public_key] * 2
 
 
 # -- reorg --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 package as an independent secp256k1/ECDSA implementation."""
 
 import pytest
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
@@ -9,6 +10,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
+from ddns import keys
 from ddns.errors import InvalidAddressError, InvalidKeyError, InvalidSeedError
 from ddns.keys import (ADDRESS_VERSION, MULTISIG_VERSION, N,
                        Signature, decode_address, decode_point,
@@ -159,3 +161,122 @@ def test_keypair_matches_oracle_property(seed):
     oracle = _oracle_private(kp.secret_key).public_key()
     assert kp.public_key == oracle.public_bytes(
         Encoding.X962, PublicFormat.CompressedPoint)
+
+
+# -- the oracle over valid and tampered signatures ---------------------------
+
+def _oracle_verify(pk: bytes, message: bytes, r: int, s: int) -> bool:
+    key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), pk)
+    try:
+        key.verify(encode_dss_signature(r, s), message, ec.ECDSA(hashes.SHA256()))
+    except InvalidSignature:
+        return False
+    return True
+
+
+def _variants(r: int, s: int):
+    """The signature itself, tampered and out-of-range copies, and high s."""
+    yield r, s
+    yield r ^ 1, s
+    yield r, s ^ (1 << 200)
+    yield r, N - s
+    yield (r + 1) % N or 1, s
+    yield 0, s
+    yield r, 0
+    yield N, s
+    yield r, N
+    yield r + N, s
+    yield r, s + N
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, N - 1), st.binary(max_size=120), st.binary(min_size=1, max_size=8))
+def test_verify_agrees_with_oracle(sk, message, suffix):
+    kp = generate_keypair(sk.to_bytes(32, "big"))
+    ours = sign(sk, message)
+    r, s = decode_dss_signature(_oracle_private(sk).sign(message, ec.ECDSA(hashes.SHA256())))
+    for sig_r, sig_s in [*_variants(ours.r, ours.s), *_variants(r, s)]:
+        sig = Signature(sig_r, sig_s)
+        expected = _oracle_verify(kp.public_key, message, sig_r, sig_s)
+        assert verify(kp.public_key, message, sig) == expected, (sig_r, sig_s)
+    assert verify(kp.public_key, message, ours)
+    assert not verify(kp.public_key, message + suffix, ours)
+    assert not _oracle_verify(kp.public_key, message + suffix, ours.r, ours.s)
+
+
+# -- the fast multiplications against a plain double-and-add ladder ----------
+
+def _affine_add(p, q):
+    if p is None:
+        return q
+    if q is None:
+        return p
+    if p[0] == q[0] and (p[1] + q[1]) % keys.P == 0:
+        return None
+    if p == q:
+        slope = 3 * p[0] * p[0] * pow(2 * p[1], -1, keys.P)
+    else:
+        slope = (q[1] - p[1]) * pow(q[0] - p[0], -1, keys.P)
+    x = (slope * slope - p[0] - q[0]) % keys.P
+    return x, (slope * (p[0] - x) - p[1]) % keys.P
+
+
+def _ladder(point, k: int):
+    acc = None
+    while k:
+        if k & 1:
+            acc = _affine_add(acc, point)
+        point = _affine_add(point, point)
+        k >>= 1
+    return acc
+
+
+def _from_wnaf(digits) -> int:
+    return sum(d << (5 * j) for j, d in enumerate(digits))
+
+
+# Scalars whose width-5 NAF digits are all +15 or -15 (every fifth position).
+ALL_15 = [_from_wnaf([15] * 25), _from_wnaf([15, -15] * 12 + [15]), _from_wnaf([-15] * 24 + [15])]
+G = (keys.GX, keys.GY)
+Q = decode_point(generate_keypair(SEED).public_key)
+EDGE_SCALARS = ([0, 1, 2, 3, 15, 16, 255, 256, N - 1, N - 2, N // 2, (N + 1) // 2, keys.LAMBDA]
+                + [1 << k for k in (7, 8, 9, 127, 128, 129, 200, 255)]
+                + ALL_15 + [N - s for s in ALL_15] + [keys.LAMBDA * s % N for s in ALL_15])
+
+
+def test_wnaf_digits():
+    for s in ALL_15:
+        digits = keys._wnaf(s)
+        assert {abs(d) for d in digits if d} == {15}
+        assert all(d == 0 for i, d in enumerate(digits) if i % 5)
+    for k in EDGE_SCALARS:
+        digits = keys._wnaf(k)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        assert all(d % 2 and -16 < d < 16 for d in digits if d)
+        assert all(not any(digits[i + 1:i + 5]) for i, d in enumerate(digits) if d)
+
+
+def test_glv_split_recombines_into_short_halves():
+    for k in EDGE_SCALARS:
+        k1, k2 = keys._glv_split(k)
+        assert (k1 + k2 * keys.LAMBDA - k) % N == 0
+        assert abs(k1).bit_length() <= 129 and abs(k2).bit_length() <= 129
+
+
+def test_endomorphism_constants():
+    assert _ladder(G, keys.LAMBDA) == (keys.BETA * keys.GX % keys.P, keys.GY)
+
+
+@pytest.mark.parametrize("k", EDGE_SCALARS)
+def test_fast_multiplications_match_the_ladder_at_edge_scalars(k):
+    assert keys._to_affine(keys._g_mul(k)) == _ladder(G, k)
+    assert keys._to_affine(keys._mul(Q, k)) == _ladder(Q, k)
+    assert keys._to_affine(keys._mul(G, k)) == _ladder(G, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, N - 1), st.integers(1, N - 1))
+def test_fast_multiplications_match_the_ladder(k, sk):
+    point = _ladder(G, sk)
+    assert keys._to_affine(keys._g_mul(k)) == _ladder(G, k)
+    assert keys._to_affine(keys._mul(point, k)) == _ladder(point, k)

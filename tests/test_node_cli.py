@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import struct
 
 import pytest
 
@@ -10,7 +11,7 @@ from ddns.cli import main
 from ddns.config import NodeConfig, config_from_dict, load_config
 from ddns.errors import ConfigError, DdnsError
 from ddns.keys import generate_keypair
-from ddns.node import LocalNode, load_key_file, save_key_file
+from ddns.node import MAX_RECORD_BYTES, LocalNode, load_key_file, save_key_file
 from ddns import registry
 from ddns.store import content_id_of
 
@@ -161,6 +162,53 @@ def test_failed_mempool_save_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [t.txid for t in LocalNode(config).mempool] == [first.txid]
+
+
+def test_record_length_over_the_cap_fails_and_keeps_the_file(tmp_path):
+    config, path = _node_with_blocks(tmp_path, 3)
+    whole = path.read_bytes()
+    second = 4 + struct.unpack_from("<I", whole)[0]
+    for length in (0xFFFFFF00, MAX_RECORD_BYTES + 1):
+        data = bytearray(whole)
+        struct.pack_into("<I", data, second, length)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DdnsError, match="cap"):
+            LocalNode(config)
+        assert path.read_bytes() == bytes(data)
+    path.write_bytes(whole)
+    assert LocalNode(config).chain.height == 3
+
+
+def test_block_drops_the_mempool_txs_it_makes_invalid(tmp_path):
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
+    node.submit_transaction(registry.register_domain("DDNS/RACE", CID, ALICE, node.state, nonce=1))
+    _mine_at(node, 1)
+    first, second = (registry.update_domain("DDNS/RACE", content_id_of(zone), ALICE, node.state,
+                                            nonce=nonce)
+                     for nonce, zone in ((2, b"first"), (3, b"second")))
+    node.submit_transaction(first)
+    node.submit_transaction(second)
+    assert node.mempool == [first, second]
+    _mine_at(node, 1)
+    assert node.state.assets["DDNS/RACE"].ipfs_hash == first.asset_op.new_content_id
+    assert node.mempool == []
+    assert json.loads((tmp_path / "mempool.json").read_text()) == []
+
+
+def test_a_signed_op_is_verified_once_from_submit_to_block(tmp_path, verify_calls):
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
+    _mine_at(node, 1)
+    tx = registry.register_domain("PHI/FUNDED", CID, ALICE, node.state, nonce=1)
+    assert tx.inputs and tx.asset_op.auth  # one signature fills both slots
+    node.submit_transaction(tx)
+    _mine_at(node, 1)
+    assert "PHI/FUNDED" in node.state.assets and node.mempool == []
+    assert verify_calls == [ALICE.public_key]
+    reopened = LocalNode(config)
+    assert reopened.state.digest() == node.state.digest()
+    assert verify_calls == [ALICE.public_key] * 2
 
 
 # -- config ----------------------------------------------------------------------
