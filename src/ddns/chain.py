@@ -156,8 +156,9 @@ class AssetOperation:
 
 @dataclass(frozen=True)
 class Transaction:
-    """Every field is immutable, so the encodings, the txid and each signature
-    check are computed at most once per object; `replace()` builds a new one."""
+    """Every field is immutable, so the encodings, the txid, each signature
+    check and each key's address are computed at most once per object;
+    `replace()` builds a new one."""
     inputs: tuple
     outputs: tuple
     asset_op: AssetOperation | None = None
@@ -194,6 +195,18 @@ class Transaction:
             ok = results[(pubkey, sig)] = verify(pubkey, self.signing_bytes,
                                                  Signature.from_bytes(sig))
         return ok
+
+    @cached_property
+    def _addresses(self) -> dict:
+        return {}
+
+    def address_of(self, pubkey: bytes) -> str:
+        """`derive_address(pubkey)`, once per key; a malformed key raises each time."""
+        addresses = self._addresses
+        address = addresses.get(pubkey)
+        if address is None:
+            address = addresses[pubkey] = derive_address(pubkey)
+        return address
 
     def _encode(self, for_signing: bool) -> bytes:
         w = Writer()
@@ -456,7 +469,7 @@ def validate_transaction(tx: Transaction, state: ChainState) -> ValidationResult
         if utxo is None:
             return invalid("missing-utxo", f"input {i} spends unknown output")
         try:
-            if derive_address(txin.public_key) != utxo.recipient:
+            if tx.address_of(txin.public_key) != utxo.recipient:
                 return invalid("bad-signature", f"input {i} key does not own output")
             if not tx.sig_ok(txin.public_key, txin.signature):
                 return invalid("bad-signature", f"input {i} signature invalid")
@@ -548,7 +561,7 @@ def _apply_transaction(state: ChainState, tx: Transaction) -> ChainState:
         utxos[(txid, idx)] = out
     assets = state.assets
     if tx.asset_op is not None:
-        assets = registry.apply_asset_operation(dict(assets), tx.asset_op)
+        assets = registry.apply_asset_operation(dict(assets), tx)
     return replace(state, utxos=utxos, assets=assets)
 
 

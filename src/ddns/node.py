@@ -3,6 +3,14 @@ between the CLI, the miner, and the resolver.
 
 The block file is append-only length-prefixed canonical block bytes;
 restart replays it from genesis, which also re-derives the full state.
+
+The mempool is kept in two files: `mempool.json`, a JSON list of tx hex
+written atomically, and `mempool.log`, txs submitted since, one JSON string
+per line. A submit appends one line, not a rewrite of every pending tx.
+Opening the node and accepting a block write the mempool to the list when it
+differs from what the list holds. Opening the node then deletes the log; a
+block leaves it until it passes MEMPOOL_LOG_LIMIT, since a logged tx that a
+block confirmed no longer validates and is dropped on the next open.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ KEY_FILE_MAGIC = b"DDNSKEY1"
 # transactions; its header and the 4-byte length before each tx (never longer
 # than the tx) add less than that again.
 MAX_RECORD_BYTES = 2 * (MAX_BLOCK_WEIGHT // WEIGHT_PER_BYTE)
+# About 1,500 records. Creating the log again after every block cost the
+# submits more than their appends did.
+MEMPOOL_LOG_LIMIT = 1 << 20
 
 
 def save_key_file(path: str, keypair: KeyPair):
@@ -59,6 +70,8 @@ class LocalNode:
         self._lock = threading.RLock()
         self._blocks_path = os.path.join(config.data_dir, "blocks.dat")
         self._mempool_path = os.path.join(config.data_dir, "mempool.json")
+        self._mempool_log_path = os.path.join(config.data_dir, "mempool.log")
+        self._saved_mempool = None
         self._load()
 
     # -- persistence ----------------------------------------------------------
@@ -85,23 +98,56 @@ class LocalNode:
                 result = self.chain.add_block(block, now=block.header.timestamp)
                 if not result.accepted and result.code != "duplicate":
                     raise DdnsError(f"corrupt block file: {result.code}")
+        stored = []
         if os.path.exists(self._mempool_path):
             with open(self._mempool_path) as fh:
-                for tx_hex in json.load(fh):
-                    tx = Transaction.deserialize(bytes.fromhex(tx_hex))
-                    if validate_transaction(tx, self.chain.state).ok:
-                        self.mempool.append(tx)
+                self._saved_mempool = json.load(fh)
+            stored += self._saved_mempool
+        if os.path.exists(self._mempool_log_path):
+            with open(self._mempool_log_path) as fh:
+                for line in fh.read().split("\n"):
+                    try:
+                        stored.append(json.loads(line))
+                    except json.JSONDecodeError:
+                        if line:
+                            log.warning("mempool.log: dropping a torn record of %d bytes",
+                                        len(line))
+        # A tx can be in both files: a block rewrites the list and keeps the log.
+        for tx_hex in dict.fromkeys(stored):
+            tx = Transaction.deserialize(bytes.fromhex(tx_hex))
+            if validate_transaction(tx, self.chain.state).ok:
+                self.mempool.append(tx)
+        self._save_mempool(drop_log=True)
 
     def _append_block(self, block: Block):
         raw = block.serialize()
         with open(self._blocks_path, "ab") as fh:
             fh.write(struct.pack("<I", len(raw)) + raw)
 
-    def _save_mempool(self):
-        tmp = self._mempool_path + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump([tx.serialize().hex() for tx in self.mempool], fh)
-        os.replace(tmp, self._mempool_path)
+    def _log_submitted(self, tx: Transaction):
+        # Each record starts with its newline, so a record torn by a failed
+        # write keeps a line of its own and the next record stays readable.
+        with open(self._mempool_log_path, "a") as fh:
+            fh.write("\n")
+            json.dump(tx.serialize().hex(), fh)
+
+    def _save_mempool(self, drop_log: bool = False):
+        """Write the mempool to `mempool.json` if it differs from what the file
+        holds. Each logged tx is then in the file, in the chain or no longer
+        valid, so the log may go: it does when `drop_log` or when it is over
+        MEMPOOL_LOG_LIMIT."""
+        pending = [tx.serialize().hex() for tx in self.mempool]
+        if pending != self._saved_mempool:
+            tmp = self._mempool_path + f".tmp.{os.getpid()}"
+            with open(tmp, "w") as fh:
+                json.dump(pending, fh)
+            os.replace(tmp, self._mempool_path)
+            self._saved_mempool = pending
+        try:
+            if drop_log or os.path.getsize(self._mempool_log_path) > MEMPOOL_LOG_LIMIT:
+                os.remove(self._mempool_log_path)
+        except FileNotFoundError:
+            pass
 
     # -- operations -----------------------------------------------------------
 
@@ -112,8 +158,8 @@ class LocalNode:
                 raise DdnsError(f"rejected: {result.code}: {result.detail}")
             if any(t.txid == tx.txid for t in self.mempool):
                 return tx.txid
+            self._log_submitted(tx)
             self.mempool.append(tx)
-            self._save_mempool()
             return tx.txid
 
     def accept_block(self, block: Block, now: int | None = None):

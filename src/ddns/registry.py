@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .chain import (AssetOperation, ChainState, REGISTRATION_FEE, Transaction,
                     TxOutput, ValidationResult, invalid, sign_transaction, valid)
 from .errors import DdnsError, InvalidAddressError
-from .keys import KeyPair, decode_address, derive_address, multisig_address, MULTISIG_VERSION
+from .keys import KeyPair, decode_address, multisig_address, MULTISIG_VERSION
 from .store import decode_content_id
 
 SUBSIDIZED_ROOT = "DDNS"
@@ -134,7 +134,7 @@ def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
         return valid()
     for pubkey, sig in op.auth:
         try:
-            if derive_address(pubkey) != expected_owner:
+            if tx.address_of(pubkey) != expected_owner:
                 continue
             if tx.sig_ok(pubkey, sig):
                 return valid()
@@ -166,7 +166,7 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
         elif fee < REGISTRATION_FEE:
             return invalid("insufficient-funds",
                            f"fee {fee} below registration fee {REGISTRATION_FEE}")
-        owner = _registration_owner(op)
+        owner = _registration_owner(tx)
         if owner is None:
             return invalid("asset-rule-violation", "cannot determine new owner")
         return _verify_auth(tx, owner)
@@ -195,7 +195,8 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
     return invalid("asset-rule-violation", f"unknown kind {op.kind!r}")
 
 
-def _registration_owner(op: AssetOperation) -> str | None:
+def _registration_owner(tx: Transaction) -> str | None:
+    op = tx.asset_op
     if op.policy_keys:
         if len(op.policy_keys) != MULTISIG_KEYS or len(set(op.policy_keys)) != MULTISIG_KEYS:
             return None
@@ -207,17 +208,18 @@ def _registration_owner(op: AssetOperation) -> str | None:
         return op.new_owner
     if op.auth:
         try:
-            return derive_address(op.auth[0][0])
+            return tx.address_of(op.auth[0][0])
         except Exception:
             return None
     return None
 
 
-def apply_asset_operation(assets: dict, op: AssetOperation) -> dict:
-    """Fold one confirmed operation into the asset index (pre-validated)."""
+def apply_asset_operation(assets: dict, tx: Transaction) -> dict:
+    """Fold one confirmed tx's operation into the asset index (pre-validated)."""
+    op = tx.asset_op
     if op.kind == "register":
         assets[op.asset_name] = DomainAsset(
-            op.asset_name, _registration_owner(op), op.new_content_id)
+            op.asset_name, _registration_owner(tx), op.new_content_id)
     elif op.kind == "update":
         assets[op.asset_name] = replace(assets[op.asset_name], ipfs_hash=op.new_content_id,
                                         revision=op.revision + 1)

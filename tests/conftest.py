@@ -40,6 +40,16 @@ def verify_calls(monkeypatch):
 
 
 @pytest.fixture
+def address_calls(monkeypatch):
+    """The public key of every address derivation the chain's checks make, in order."""
+    import ddns.chain
+    calls = []
+    real = ddns.chain.derive_address
+    monkeypatch.setattr(ddns.chain, "derive_address", lambda pk: calls.append(pk) or real(pk))
+    return calls
+
+
+@pytest.fixture
 def alice():
     return generate_keypair(b"\x01" * 32)
 

@@ -12,9 +12,9 @@ from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
                         Chain, Transaction, TxInput,
                         adjust_difficulty,
                         genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
-                        select_transactions, transaction_fee,
+                        select_transactions, sign_transaction, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
-from ddns.errors import SerializationError
+from ddns.errors import InvalidKeyError, SerializationError
 from ddns.keys import generate_keypair
 from ddns.store import content_id_of
 from ddns import registry
@@ -315,6 +315,42 @@ def test_signature_results_are_remembered_per_object(verify_calls):
     copy = replace(tx)
     assert copy == tx and validate_transaction(copy, state).ok
     assert verify_calls == [ALICE.public_key] * 2
+
+
+def test_key_addresses_are_remembered_per_object(address_calls):
+    chain = fresh_chain()
+    mined(chain)
+    # A funded registration: its input and its auth slot name one key.
+    tx = registry.register_domain("WEB3/ADDRESS", CID, ALICE, chain.state)
+    for _ in range(3):
+        assert validate_transaction(tx, chain.state).ok
+    assert address_calls == [ALICE.public_key]
+    copy = replace(tx)
+    assert validate_transaction(copy, chain.state).ok
+    assert address_calls == [ALICE.public_key] * 2
+
+
+def test_each_key_in_a_tx_gets_its_own_address():
+    chain = fresh_chain()
+    mined(chain)
+    funded = registry.register_domain("WEB3/FORBOB", CID, ALICE, chain.state)
+    op = replace(funded.asset_op, auth=((BOB.public_key, b"\x00" * 64),))
+    tx = sign_transaction(sign_transaction(replace(funded, asset_op=op), ALICE), BOB)
+    assert validate_transaction(tx, chain.state).ok
+    mined(chain, [tx])
+    assert chain.state.assets["WEB3/FORBOB"].owner_address == BOB.address
+
+
+def test_a_malformed_key_is_rejected_on_every_check():
+    state = genesis_state(make_genesis())
+    tx = register_tx(state)
+    _, sig = tx.asset_op.auth[0]
+    bad = replace(tx, asset_op=replace(tx.asset_op, auth=((b"\x02" + b"\xff" * 32, sig),)))
+    for _ in range(2):
+        with pytest.raises(InvalidKeyError):
+            bad.address_of(bad.asset_op.auth[0][0])
+        result = validate_transaction(bad, state)
+        assert not result.ok and result.code == "asset-rule-violation"
 
 
 # -- reorg --------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ddns.config import NodeConfig, config_from_dict, load_config
 from ddns.errors import ConfigError, DdnsError
 from ddns.keys import generate_keypair
 from ddns.node import MAX_RECORD_BYTES, LocalNode, load_key_file, save_key_file
-from ddns import registry
+from ddns import node as node_module, registry
 from ddns.store import content_id_of
 
 ALICE = generate_keypair(b"\x01" * 32)
@@ -164,6 +164,81 @@ def test_failed_mempool_save_keeps_previous_file(tmp_path, monkeypatch):
     assert [t.txid for t in LocalNode(config).mempool] == [first.txid]
 
 
+def test_submit_appends_to_the_log_and_reopen_folds_it(tmp_path):
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
+    path, log_path = tmp_path / "mempool.json", tmp_path / "mempool.log"
+    before = path.stat()
+    txs = [registry.register_domain(f"DDNS/LOG{i}", CID, ALICE, node.state, nonce=i)
+           for i in (1, 2)]
+    for tx in txs:
+        node.submit_transaction(tx)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert json.loads(path.read_text()) == []
+    reloaded = LocalNode(config)
+    assert [t.txid for t in reloaded.mempool] == [t.txid for t in txs]
+    assert json.loads(path.read_text()) == [t.serialize().hex() for t in txs]
+    assert not log_path.exists()
+    # A block that leaves the mempool as mempool.json holds it writes neither
+    # file; the confirmed tx left in the log is dropped on the next open.
+    _mine_at(reloaded, 1)
+    assert json.loads(path.read_text()) == []
+    before = path.stat()
+    reloaded.submit_transaction(registry.register_domain("DDNS/LOG3", CID, ALICE,
+                                                         reloaded.state, nonce=3))
+    logged = log_path.read_bytes()
+    _mine_at(reloaded, 1)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert log_path.read_bytes() == logged and reloaded.mempool == []
+    assert LocalNode(config).mempool == [] and not log_path.exists()
+
+
+def test_a_block_deletes_a_log_over_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(node_module, "MEMPOOL_LOG_LIMIT", 100)
+    node = LocalNode(NodeConfig(data_dir=str(tmp_path)))
+    node.submit_transaction(registry.register_domain("DDNS/BIG", CID, ALICE, node.state,
+                                                     nonce=1))
+    log_path = tmp_path / "mempool.log"
+    assert log_path.stat().st_size > 100
+    _mine_at(node, 1)
+    assert not log_path.exists() and node.mempool == []
+
+
+def test_a_record_after_a_torn_one_survives_reopen(tmp_path, monkeypatch, caplog):
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
+    first, second, third = (registry.register_domain(f"DDNS/TORN{i}", CID, ALICE, node.state,
+                                                     nonce=i) for i in (1, 2, 3))
+    node.submit_transaction(first)
+
+    def torn_dump(obj, fh):
+        fh.write(json.dumps(obj)[:10])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        node.submit_transaction(second)
+    monkeypatch.undo()
+    assert node.mempool == [first]
+    node.submit_transaction(third)
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        reloaded = LocalNode(config)
+    assert [t.txid for t in reloaded.mempool] == [first.txid, third.txid]
+    assert "torn record" in caplog.text
+
+
+def test_a_tx_in_both_mempool_files_loads_once(tmp_path):
+    # A crash after a fold rewrote mempool.json but before it deleted the log.
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
+    tx = registry.register_domain("DDNS/TWICE", CID, ALICE, node.state, nonce=1)
+    node.submit_transaction(tx)
+    (tmp_path / "mempool.json").write_text(json.dumps([tx.serialize().hex()]))
+    assert [t.txid for t in LocalNode(config).mempool] == [tx.txid]
+
+
 def test_record_length_over_the_cap_fails_and_keeps_the_file(tmp_path):
     config, path = _node_with_blocks(tmp_path, 3)
     whole = path.read_bytes()
@@ -209,6 +284,17 @@ def test_a_signed_op_is_verified_once_from_submit_to_block(tmp_path, verify_call
     reopened = LocalNode(config)
     assert reopened.state.digest() == node.state.digest()
     assert verify_calls == [ALICE.public_key] * 2
+
+
+def test_a_signed_op_derives_its_key_address_once_from_submit_to_block(tmp_path,
+                                                                       address_calls):
+    node = LocalNode(NodeConfig(data_dir=str(tmp_path)))
+    _mine_at(node, 1)
+    tx = registry.register_domain("PHI/ADDRESS", CID, ALICE, node.state, nonce=1)
+    node.submit_transaction(tx)
+    _mine_at(node, 1)
+    assert node.state.assets["PHI/ADDRESS"].owner_address == ALICE.address
+    assert address_calls == [ALICE.public_key]
 
 
 # -- config ----------------------------------------------------------------------
