@@ -2,6 +2,9 @@
 
 L1: in-memory LRU, 50,000 entries, fixed 15 s TTL.
 L2: file-backed (one JSON file per key), survives restart, TTL = record TTL.
+    A file is named `<domain hash>-<key hash>.json`, where the domain hash is
+    the first 16 hex digits of the SHA-256 of the key name's last two labels,
+    so a domain's files are found from their names without opening any.
 L3: domain -> content-id ownership map, 60 s TTL.
 
 A hit at tier k never consults tier k+1. The clock is injectable so
@@ -22,6 +25,12 @@ log = logging.getLogger(__name__)
 L1_CAPACITY = 50_000
 L1_TTL = 15
 L3_TTL = 60
+
+
+def domain_prefix(name: str) -> str:
+    """The L2 file-name prefix shared by every key under `name`'s domain."""
+    domain = ".".join(name.split(".")[-2:])
+    return hashlib.sha256(domain.encode()).hexdigest()[:16]
 
 
 class L1Cache:
@@ -70,7 +79,7 @@ class L2Cache:
 
     def _path(self, key) -> str:
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return os.path.join(self.directory, digest + ".json")
+        return os.path.join(self.directory, f"{domain_prefix(key[0])}-{digest}.json")
 
     def get(self, key):
         path = self._path(key)
@@ -100,12 +109,6 @@ class L2Cache:
         with open(tmp, "w") as fh:
             json.dump(doc, fh)
         os.replace(tmp, path)
-
-    def remove(self, key):
-        try:
-            os.remove(self._path(key))
-        except OSError:
-            pass
 
 
 class L3Cache:
@@ -140,7 +143,8 @@ class CacheHierarchy:
         self.l3 = L3Cache(clock=clock)
 
     def invalidate(self, qname: str):
-        """Drop a name from every tier (used on observed domain updates)."""
+        """Drop a name and its subdomains from every tier (used on observed
+        domain updates); L2 drops the name's whole domain."""
         qname = qname.lower().rstrip(".")
 
         def match(key):
@@ -148,14 +152,9 @@ class CacheHierarchy:
 
         self.l1.invalidate(match)
         self.l3.remove(qname)
-        # L2 files are keyed by hash; walk and drop matching entries.
+        # L2 files carry their domain in the name: drop the whole domain
+        # (all of L2 for a bare TLD) without opening a file.
+        prefix = domain_prefix(qname) + "-" if "." in qname else ""
         for fname in os.listdir(self.l2.directory):
-            path = os.path.join(self.l2.directory, fname)
-            try:
-                with open(path) as fh:
-                    doc = json.load(fh)
-                name = doc["key"][0]
-                if name == qname or name.endswith("." + qname):
-                    os.remove(path)
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                continue
+            if fname.startswith(prefix) and fname.endswith(".json"):
+                os.remove(os.path.join(self.l2.directory, fname))

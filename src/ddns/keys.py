@@ -22,6 +22,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .encoding import b58check_encode, b58check_decode, hash160, sha256
 from .errors import InvalidKeyError, InvalidSeedError, InvalidAddressError
@@ -278,7 +279,7 @@ class KeyPair:
     secret_key: int
     public_key: bytes  # compressed, 33 bytes
 
-    @property
+    @cached_property
     def address(self) -> str:
         return derive_address(self.public_key)
 

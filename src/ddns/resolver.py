@@ -2,10 +2,17 @@
 
 Resolution path for a managed name: L1 -> L2 -> (L3 ownership cache or
 chain lookup) -> content store fetch -> integrity check -> record query
--> respond and populate caches. Non-managed TLDs are forwarded upstream
-over UDP, or answered REFUSED when no upstream is configured. A store
-payload whose hash mismatches its on-chain content id is answered
-SERVFAIL and never cached.
+-> respond and populate caches. Each cache entry holds only a name's own
+records, from its own domain's control file, so it depends on exactly one
+content id; `Resolver.resolve` follows CNAMEs itself, one cached name at a
+time. After a confirmed update, a name is served stale for at most the L3
+TTL plus the L1 TTL (75 s): L2 keys carry the content id, so only an L3
+entry can name the old one, and an L1 entry filled just before that L3
+entry expires lives on for its own TTL. Once `notice_update` names the
+domain, nothing stale is served. Non-managed TLDs are forwarded upstream
+over UDP, outside the resolver lock, or answered REFUSED when no upstream
+is configured. A store payload whose hash mismatches its on-chain content
+id is answered SERVFAIL and never cached.
 """
 
 from __future__ import annotations
@@ -24,13 +31,14 @@ from .cache import CacheHierarchy
 from .controlfile import parse_control_file, query_records
 from .errors import CorruptionError, DnsParseError, NotFoundError, StoreUnavailableError
 from .wire import (CLASS_IN, DnsMessage, FORMERR, NOERROR, NOTIMP, NXDOMAIN,
-                   REFUSED, SERVFAIL, Question, ResourceRecord, TYPE_NAMES,
+                   REFUSED, SERVFAIL, Question, ResourceRecord, TYPE_CODES, TYPE_NAMES,
                    decode_message, decode_name, encode_message, record_to_rr,
                    truncate_for_udp)
 
 log = logging.getLogger(__name__)
 
 MAX_CNAME_DEPTH = 8
+TYPE_CNAME = TYPE_CODES["CNAME"]
 UPSTREAM_TIMEOUT = 2.0
 NEGATIVE_TTL = 15
 
@@ -84,7 +92,23 @@ class Resolver:
         qname = qname.lower().rstrip(".")
         with self._lock:
             self.stats["queries"] += 1
-            return self._resolve_cached(qname, qtype, depth=0)
+            if self._managed(qname):
+                answer = self._resolve_cached(qname, qtype)
+                records, depth = answer.records, 0
+                # Only a NOERROR answer has records; follow its CNAME.
+                while answer.records and answer.records[0].rtype == TYPE_CNAME != qtype:
+                    if depth == MAX_CNAME_DEPTH:
+                        return Answer(SERVFAIL)
+                    target = decode_name(answer.records[-1].rdata, 0)[0].lower()
+                    if not self._managed(target):
+                        break
+                    depth += 1
+                    answer = self._resolve_cached(target, qtype)
+                    if answer.rcode == SERVFAIL:
+                        return answer
+                    records += answer.records  # a chased NXDOMAIN adds nothing
+                return Answer(NOERROR, records) if depth else answer
+        return self._forward(qname, qtype)
 
     def notice_update(self, dns_name: str):
         """Flush every tier for a domain (called on observed chain updates)."""
@@ -96,37 +120,39 @@ class Resolver:
     def _managed(self, qname: str) -> bool:
         return qname.rsplit(".", 1)[-1] in self.config.managed_tlds
 
-    def _resolve_cached(self, qname: str, qtype: int, depth: int) -> Answer:
-        if not self._managed(qname):
-            return self._forward(qname, qtype)
+    def _resolve_cached(self, qname: str, qtype: int) -> Answer:
+        """A managed name's own answer, from the caches or its control file."""
         l1_key = (qname, qtype)
-        cached = self.caches.l1.get(l1_key)
-        if cached is not None:
+        answer = self.caches.l1.get(l1_key)
+        if answer is not None:
             self.stats["l1_hits"] += 1
-            return _answer_from_cache(cached)
+            return answer
         binding = self._binding(qname)
         if binding is None:
             # Negative answers are cached in L1 only, short TTL.
             answer = Answer(NXDOMAIN)
-            self.caches.l1.put(l1_key, _answer_to_cache(answer))
+            self.caches.l1.put(l1_key, answer)
             return answer
         domain, label, content_id = binding
         # Keying L2 by content id bounds staleness after a confirmed update
-        # by the L3 TTL even though L2 entries live as long as the record TTL.
+        # by the L3 TTL plus the L1 TTL, though L2 entries live as long as
+        # the record TTL.
         l2_key = (qname, qtype, content_id)
         cached = self.caches.l2.get(l2_key)
         if cached is not None:
             self.stats["l2_hits"] += 1
-            self.caches.l1.put(l1_key, cached)
-            return _answer_from_cache(cached)
-        answer = self._resolve_content(qname, qtype, depth, domain, label, content_id)
+            answer = _answer_from_cache(cached)
+            self.caches.l1.put(l1_key, answer)
+            return answer
+        answer = self._resolve_content(qname, qtype, domain, label, content_id)
         if answer.rcode == NOERROR:
-            doc = _answer_to_cache(answer)
-            self.caches.l1.put(l1_key, doc)
             ttl = min((r.ttl for r in answer.records), default=NEGATIVE_TTL)
-            self.caches.l2.put(l2_key, doc, ttl)
-        elif answer.rcode == NXDOMAIN:
-            self.caches.l1.put(l1_key, _answer_to_cache(answer))
+            try:
+                self.caches.l2.put(l2_key, _answer_to_cache(answer), ttl)
+            except OSError as exc:
+                log.warning("not caching %s: L2 write failed: %s", qname, exc)
+                return answer
+            self.caches.l1.put(l1_key, answer)
         return answer
 
     def _binding(self, qname: str):
@@ -151,7 +177,7 @@ class Resolver:
             self.stats["l3_hits"] += 1
         return domain, label, ownership["content_id"]
 
-    def _resolve_content(self, qname: str, qtype: int, depth: int,
+    def _resolve_content(self, qname: str, qtype: int,
                          domain: str, label: str, content_id: str) -> Answer:
         try:
             self.stats["store_reads"] += 1
@@ -168,23 +194,14 @@ class Resolver:
         if rtype_name is None:
             return Answer(NOERROR)
         entries = query_records(cf, label, rtype_name)
-        records = [record_to_rr(qname, entry.rtype, entry, cf.domain) for entry in entries]
-        if entries and entries[0].rtype == "CNAME" and rtype_name != "CNAME":
-            if depth >= MAX_CNAME_DEPTH:
-                return Answer(SERVFAIL)
-            chase_target = decode_name(records[-1].rdata, 0)[0].lower()
-            if self._managed(chase_target):
-                chased = self._resolve_cached(chase_target, qtype, depth + 1)
-                if chased.rcode == SERVFAIL:
-                    return Answer(SERVFAIL)
-                if chased.rcode == NOERROR:
-                    records.extend(chased.records)
-        return Answer(NOERROR, tuple(records))
+        return Answer(NOERROR, tuple(record_to_rr(qname, entry.rtype, entry, cf.domain)
+                                     for entry in entries))
 
     def _forward(self, qname: str, qtype: int) -> Answer:
         if self.config.upstream is None:
             return Answer(REFUSED)
-        self.stats["forwarded"] += 1
+        with self._lock:
+            self.stats["forwarded"] += 1
         query = DnsMessage(id=int(time.time() * 1000) & 0xFFFF, rd=True,
                            questions=(Question(qname, qtype),))
         wire = encode_message(query)

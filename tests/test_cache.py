@@ -2,6 +2,7 @@ import json
 import logging
 import os
 
+import ddns.cache
 from ddns.cache import CacheHierarchy, L1Cache, L2Cache, L3Cache
 
 
@@ -93,3 +94,69 @@ def test_hierarchy_invalidate_hits_all_tiers(tmp_path):
     assert caches.l1.get(("other.ddns", 1)) == "keep"
     assert caches.l2.get(("example.ddns", 1, "Qm1")) is None
     assert caches.l3.get("example.ddns") is None
+
+
+def _l2_files(caches):
+    return sorted(os.listdir(caches.l2.directory))
+
+
+def test_l2_files_are_flat_json_named_by_domain(tmp_path):
+    caches = CacheHierarchy(str(tmp_path))
+    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
+    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
+    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
+    files = _l2_files(caches)
+    assert len(files) == 3 and all(f.endswith(".json") for f in files)
+    assert all(os.path.isfile(os.path.join(str(tmp_path), f)) for f in files)
+    assert len({f.split("-")[0] for f in files}) == 2  # one prefix per domain
+
+
+def test_invalidate_drops_a_corrupt_file_and_keeps_other_domains(tmp_path):
+    caches = CacheHierarchy(str(tmp_path))
+    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
+    caches.l2.put(("www.other.ddns", 1, "Qm2"), "d", ttl=3600)
+    kept = _l2_files(caches)
+    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
+    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
+    www = caches.l2._path(("www.example.ddns", 1, "Qm1"))
+    with open(www, "w") as fh:
+        fh.write("{broken json")
+    caches.invalidate("example.ddns")
+    assert not os.path.exists(www)
+    assert _l2_files(caches) == kept and len(kept) == 2
+    assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"
+    assert caches.l2.get(("www.other.ddns", 1, "Qm2")) == "d"
+
+
+def test_invalidate_opens_no_file(tmp_path, monkeypatch):
+    caches = CacheHierarchy(str(tmp_path))
+    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
+    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("invalidate opened a file")
+
+    monkeypatch.setattr(ddns.cache, "open", no_open, raising=False)
+    caches.invalidate("example.ddns")
+    monkeypatch.undo()
+    assert caches.l2.get(("www.example.ddns", 1, "Qm1")) is None
+    assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"
+
+
+def test_invalidate_a_tld_drops_all_of_l2(tmp_path):
+    caches = CacheHierarchy(str(tmp_path))
+    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
+    caches.l2.put(("other.phi", 1, "Qm2"), "b", ttl=3600)
+    caches.invalidate("ddns")
+    assert _l2_files(caches) == []
+
+
+def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2(tmp_path):
+    caches = CacheHierarchy(str(tmp_path))
+    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
+    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
+    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
+    caches.invalidate("www.example.ddns")
+    assert caches.l2.get(("www.example.ddns", 1, "Qm1")) is None
+    assert caches.l2.get(("example.ddns", 1, "Qm1")) is None  # a superset
+    assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"

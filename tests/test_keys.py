@@ -127,6 +127,17 @@ def test_address_shape_and_version():
     assert kp.address.startswith("P")
 
 
+def test_keypair_derives_its_address_once(monkeypatch):
+    calls = []
+    real = keys.derive_address
+    monkeypatch.setattr(keys, "derive_address", lambda pk: calls.append(pk) or real(pk))
+    kp = generate_keypair(SEED)
+    first = kp.address
+    assert kp.address == first == real(kp.public_key)
+    assert calls == [kp.public_key]
+    assert kp == generate_keypair(SEED) and hash(kp) == hash(generate_keypair(SEED))
+
+
 def test_decode_address_rejects_garbage():
     with pytest.raises(InvalidAddressError):
         decode_address("not-an-address")

@@ -1,11 +1,17 @@
 import base64
 import http.client
+import logging
+import shutil
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
+import ddns.resolver
 from conftest import fixture_bytes, make_zone
-from ddns.resolver import Resolver, ResolverConfig, serve_doh, serve_udp
+from ddns.resolver import MAX_CNAME_DEPTH, Resolver, ResolverConfig, serve_doh, serve_udp
 from ddns.wire import (FORMERR, NOERROR, NOTIMP, NXDOMAIN, REFUSED, SERVFAIL,
                        DnsMessage, Question, build_query, decode_message,
                        encode_message, qtype_code)
@@ -34,6 +40,12 @@ def test_cold_then_l1_warm(stack, alice):
     assert r.stats["store_reads"] == before["store_reads"]
 
 
+def test_l1_hit_returns_the_stored_answer(stack, alice):
+    _register_example(stack, alice)
+    answer = stack.resolver.resolve("example.ddns", A)
+    assert stack.resolver.resolve("example.ddns", A) is answer
+
+
 def test_l2_hit_after_l1_expiry(stack, alice):
     _register_example(stack, alice)
     r = stack.resolver
@@ -53,6 +65,84 @@ def test_cname_chase(stack, alice):
     assert [rr.rtype for rr in answer.records] == [qtype_code("CNAME"), A]
     assert answer.records[0].name == "www.example.ddns"
     assert answer.records[1].rdata == bytes([192, 168, 1, 100])
+
+
+CNAME = qtype_code("CNAME")
+
+
+def _cname(target):
+    return {"CNAME": [{"target": target}]}
+
+
+def test_cname_loop_across_domains_is_servfail(stack, alice):
+    stack.register("ping.ddns", make_zone("ping.ddns", {"www": _cname("www.pong.ddns")}), alice)
+    stack.register("pong.ddns", make_zone("pong.ddns", {"www": _cname("www.ping.ddns")}), alice)
+    assert stack.resolver.resolve("www.ping.ddns", A).rcode == SERVFAIL
+    assert stack.resolver.resolve("www.pong.ddns", A).rcode == SERVFAIL
+
+
+def _register_chain(stack, alice, hops):
+    """chain.ddns: h0 -> h1 -> ... -> h<hops>, which holds an A record."""
+    labels = {f"h{i}": _cname(f"h{i + 1}.chain.ddns") for i in range(hops)}
+    labels[f"h{hops}"] = {"A": [{"address": "10.1.1.1"}]}
+    stack.register("chain.ddns", make_zone("chain.ddns", labels), alice)
+
+
+def test_cname_chain_depth_limit(stack, alice):
+    hops = MAX_CNAME_DEPTH + 1
+    _register_chain(stack, alice, hops)
+    r = stack.resolver
+    assert r.resolve("h0.chain.ddns", A).rcode == SERVFAIL  # one hop too many
+    answer = r.resolve("h1.chain.ddns", A)                  # exactly the limit
+    assert answer.rcode == NOERROR
+    assert [rr.name for rr in answer.records] == [f"h{i}.chain.ddns" for i in range(1, hops + 1)]
+    assert [rr.rtype for rr in answer.records] == [CNAME] * MAX_CNAME_DEPTH + [A]
+    assert answer.records[-1].rdata == bytes([10, 1, 1, 1])
+
+
+def test_cname_depth_limit_does_not_depend_on_what_is_cached(stack, alice):
+    _register_chain(stack, alice, MAX_CNAME_DEPTH + 1)
+    assert stack.resolver.resolve("h1.chain.ddns", A).rcode == NOERROR
+    assert stack.resolver.resolve("h0.chain.ddns", A).rcode == SERVFAIL
+
+
+def test_cname_to_nxdomain_gives_the_cname_alone(stack, alice):
+    stack.register("dangle.ddns", make_zone("dangle.ddns", {"www": _cname("ghost.ddns")}), alice)
+    answer = stack.resolver.resolve("www.dangle.ddns", A)
+    assert answer.rcode == NOERROR
+    assert [(rr.name, rr.rtype) for rr in answer.records] == [("www.dangle.ddns", CNAME)]
+
+
+def test_cname_to_unmanaged_target_is_not_chased(stack, alice, tmp_path):
+    silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    silent.bind(("127.0.0.1", 0))
+    try:
+        config = ResolverConfig(upstream=silent.getsockname(), cache_dir=str(tmp_path / "c"))
+        r = Resolver(config, stack.node.chain_view, stack.node.store)
+        stack.register("alias.ddns", make_zone("alias.ddns", {"www": _cname("example.com")}), alice)
+        answer = r.resolve("www.alias.ddns", A)
+    finally:
+        silent.close()
+    assert answer.rcode == NOERROR
+    assert [(rr.name, rr.rtype) for rr in answer.records] == [("www.alias.ddns", CNAME)]
+    assert r.stats["forwarded"] == 0
+
+
+def test_cname_target_update_in_another_domain_is_served_at_once(stack, alice):
+    stack.register("example.ddns", make_zone("example.ddns", {"www": _cname("target.other.ddns")}),
+                   alice)
+    stack.register("other.ddns", make_zone("other.ddns", {"target": {"A": [{"address": "10.0.0.1"}]}}),
+                   alice)
+    r = stack.resolver
+    assert r.resolve("www.example.ddns", A).records[-1].rdata == bytes([10, 0, 0, 1])
+    stack.update("other.ddns", make_zone("other.ddns", {"target": {"A": [{"address": "10.0.0.2"}]}}),
+                 alice)
+    r.notice_update("other.ddns")
+    answer = r.resolve("www.example.ddns", A)
+    assert [rr.rtype for rr in answer.records] == [CNAME, A]
+    assert answer.records[-1].rdata == bytes([10, 0, 0, 2])
+    stack.clock.advance(600)  # past L1, L3 and the old chained answer's L2 life
+    assert r.resolve("www.example.ddns", A).records[-1].rdata == bytes([10, 0, 0, 2])
 
 
 def test_mx_lookup(stack, alice):
@@ -138,6 +228,75 @@ def test_forwarding_to_upstream(stack, alice, tmp_path):
         assert edge.stats["forwarded"] == 1
     finally:
         upstream.stop()
+
+
+def test_slow_upstream_does_not_stall_managed_names(stack, alice, tmp_path, monkeypatch):
+    monkeypatch.setattr(ddns.resolver, "UPSTREAM_TIMEOUT", 1.0)
+    _register_example(stack, alice)
+    silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    silent.bind(("127.0.0.1", 0))  # never replies
+    config = ResolverConfig(upstream=silent.getsockname(), cache_dir=str(tmp_path / "c"))
+    r = Resolver(config, stack.node.chain_view, stack.node.store)
+    forwarded = []
+    worker = threading.Thread(target=lambda: forwarded.append(r.resolve("example.com", A)))
+    try:
+        worker.start()
+        deadline = time.monotonic() + 5
+        while r.stats["forwarded"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        t0 = time.monotonic()
+        answer = r.resolve("example.ddns", A)
+        elapsed = time.monotonic() - t0
+        worker.join(timeout=10)
+    finally:
+        silent.close()
+    assert not worker.is_alive()
+    assert answer.rcode == NOERROR and elapsed < 0.5
+    assert [a.rcode for a in forwarded] == [SERVFAIL]
+    assert r.stats["queries"] == 2 and r.stats["forwarded"] == 1
+
+
+def test_counters_stay_exact_under_concurrent_queries(stack, alice, tmp_path):
+    _register_example(stack, alice)
+    upstream = serve_udp(stack.resolver, host="127.0.0.1", port=0)
+    config = ResolverConfig(managed_tlds=("phi",), upstream=upstream.address,
+                            cache_dir=str(tmp_path / "c"))
+    r = Resolver(config, stack.node.chain_view, stack.node.store)
+    rounds, workers = 20, 8
+
+    def work():
+        for i in range(rounds):
+            r.resolve("example.ddns", A)     # forwarded
+            r.resolve(f"n{i}.phi", A)        # managed: NXDOMAIN, then L1 hits
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        upstream.stop()
+    assert not any(t.is_alive() for t in threads)
+    assert r.stats["queries"] == 2 * rounds * workers
+    assert r.stats["forwarded"] == rounds * workers
+    assert r.stats["l1_hits"] == rounds * (workers - 1)
+
+
+def test_failed_l2_write_still_answers(stack, alice, caplog):
+    _register_example(stack, alice)
+    shutil.rmtree(stack.caches.l2.directory)
+    with caplog.at_level(logging.WARNING, logger="ddns"):
+        answer = stack.resolver.resolve("example.ddns", A)
+    assert answer.rcode == NOERROR
+    assert answer.records[0].rdata == bytes([192, 168, 1, 100])
+    assert len(caplog.records) == 1 and "L2" in caplog.text
+    wire = encode_message(build_query("example.ddns", "A", msg_id=8))
+    reply = decode_message(stack.resolver.handle_wire_query(wire))
+    assert reply.rcode == NOERROR and reply.answers[0].rdata == bytes([192, 168, 1, 100])
 
 
 # -- wire-level handling ------------------------------------------------------
