@@ -1,14 +1,15 @@
-"""Three-tier resolver cache.
+"""Two-tier resolver cache.
 
 L1: in-memory LRU, 50,000 entries, fixed 15 s TTL.
 L2: file-backed (one JSON file per key), survives restart, TTL = record TTL.
     A file is named `<domain hash>-<key hash>.json`, where the domain hash is
     the first 16 hex digits of the SHA-256 of the key name's last two labels,
     so a domain's files are found from their names without opening any.
-L3: domain -> content-id ownership map, 60 s TTL.
 
-A hit at tier k never consults tier k+1. The clock is injectable so
-expiry is testable without sleeping.
+A name's binding to its content id is read from the chain, not cached, so
+L2 keys that carry the content id never serve an old binding and L1 is the
+only tier that can be stale. A hit at L1 never consults L2. The clock is
+injectable so expiry is testable without sleeping.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ log = logging.getLogger(__name__)
 
 L1_CAPACITY = 50_000
 L1_TTL = 15
-L3_TTL = 60
 
 
 def domain_prefix(name: str) -> str:
@@ -106,55 +106,37 @@ class L2Cache:
         path = self._path(key)
         tmp = path + f".tmp.{os.getpid()}"
         doc = {"key": list(key), "inserted_at": self.clock(), "ttl": ttl, "value": value}
-        with open(tmp, "w") as fh:
+        try:
+            fh = open(tmp, "w")
+        except FileNotFoundError:  # the directory was removed: recreate it
+            os.makedirs(self.directory, exist_ok=True)
+            fh = open(tmp, "w")
+        with fh:
             json.dump(doc, fh)
         os.replace(tmp, path)
-
-
-class L3Cache:
-    """Domain ownership cache: domain -> (content_id, owner_address)."""
-
-    def __init__(self, ttl: int = L3_TTL, clock=time.monotonic):
-        self.ttl = ttl
-        self.clock = clock
-        self._entries: dict = {}
-
-    def get(self, domain):
-        item = self._entries.get(domain)
-        if item is None:
-            return None
-        value, inserted_at = item
-        if self.clock() - inserted_at > self.ttl:
-            del self._entries[domain]
-            return None
-        return value
-
-    def put(self, domain, value):
-        self._entries[domain] = (value, self.clock())
-
-    def remove(self, domain):
-        self._entries.pop(domain, None)
 
 
 class CacheHierarchy:
     def __init__(self, l2_dir: str, clock=time.monotonic, wall_clock=time.time):
         self.l1 = L1Cache(clock=clock)
         self.l2 = L2Cache(l2_dir, clock=wall_clock)
-        self.l3 = L3Cache(clock=clock)
 
     def invalidate(self, qname: str):
-        """Drop a name and its subdomains from every tier (used on observed
-        domain updates); L2 drops the name's whole domain."""
-        qname = qname.lower().rstrip(".")
+        """Drop every entry under a name's domain from both tiers (used on
+        observed domain updates); a bare TLD drops everything under it."""
+        scope = ".".join(qname.lower().rstrip(".").split(".")[-2:])
 
         def match(key):
-            return key[0] == qname or key[0].endswith("." + qname)
+            return key[0] == scope or key[0].endswith("." + scope)
 
         self.l1.invalidate(match)
-        self.l3.remove(qname)
         # L2 files carry their domain in the name: drop the whole domain
         # (all of L2 for a bare TLD) without opening a file.
-        prefix = domain_prefix(qname) + "-" if "." in qname else ""
-        for fname in os.listdir(self.l2.directory):
+        prefix = domain_prefix(scope) + "-" if "." in scope else ""
+        try:
+            fnames = os.listdir(self.l2.directory)
+        except FileNotFoundError:  # a removed directory holds nothing
+            return
+        for fname in fnames:
             if fname.startswith(prefix) and fname.endswith(".json"):
                 os.remove(os.path.join(self.l2.directory, fname))

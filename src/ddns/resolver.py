@@ -1,18 +1,18 @@
 """DDNSD: the resolution core plus UDP and DNS-over-HTTPS front ends.
 
-Resolution path for a managed name: L1 -> L2 -> (L3 ownership cache or
-chain lookup) -> content store fetch -> integrity check -> record query
+Resolution path for a managed name: L1 -> chain lookup of the domain's
+content id -> L2 -> content store fetch -> integrity check -> record query
 -> respond and populate caches. Each cache entry holds only a name's own
 records, from its own domain's control file, so it depends on exactly one
 content id; `Resolver.resolve` follows CNAMEs itself, one cached name at a
-time. After a confirmed update, a name is served stale for at most the L3
-TTL plus the L1 TTL (75 s): L2 keys carry the content id, so only an L3
-entry can name the old one, and an L1 entry filled just before that L3
-entry expires lives on for its own TTL. Once `notice_update` names the
-domain, nothing stale is served. Non-managed TLDs are forwarded upstream
-over UDP, outside the resolver lock, or answered REFUSED when no upstream
-is configured. A store payload whose hash mismatches its on-chain content
-id is answered SERVFAIL and never cached.
+time. After a confirmed update, a name is served stale for at most the L1
+TTL (15 s): every L1 miss reads the binding from the chain, and L2 keys
+carry the content id, so only an L1 entry can hold an old answer. Once
+`notice_update` names any name under the domain, nothing stale is served
+for that domain. Non-managed TLDs are forwarded upstream over UDP, outside
+the resolver lock, or answered REFUSED when no upstream is configured. A
+store payload whose hash mismatches its on-chain content id is answered
+SERVFAIL and never cached.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class Resolver:
         self.chain_view = chain_view
         self.store = store
         self.caches = caches or CacheHierarchy(config.cache_dir)
-        self.stats = {"queries": 0, "l1_hits": 0, "l2_hits": 0, "l3_hits": 0,
-                      "chain_reads": 0, "store_reads": 0, "forwarded": 0}
+        self.stats = {"queries": 0, "l1_hits": 0, "l2_hits": 0, "chain_reads": 0,
+                      "store_reads": 0, "forwarded": 0}
         self._lock = threading.Lock()
 
     # -- public API ---------------------------------------------------------
@@ -111,7 +111,8 @@ class Resolver:
         return self._forward(qname, qtype)
 
     def notice_update(self, dns_name: str):
-        """Flush every tier for a domain (called on observed chain updates)."""
+        """Flush both tiers for a name's whole domain (called on observed
+        chain updates)."""
         with self._lock:
             self.caches.invalidate(dns_name)
 
@@ -134,9 +135,9 @@ class Resolver:
             self.caches.l1.put(l1_key, answer)
             return answer
         domain, label, content_id = binding
-        # Keying L2 by content id bounds staleness after a confirmed update
-        # by the L3 TTL plus the L1 TTL, though L2 entries live as long as
-        # the record TTL.
+        # Keying L2 by the content id just read from the chain bounds
+        # staleness after a confirmed update by the L1 TTL, though L2
+        # entries live as long as the record TTL.
         l2_key = (qname, qtype, content_id)
         cached = self.caches.l2.get(l2_key)
         if cached is not None:
@@ -161,21 +162,14 @@ class Resolver:
         if len(labels) < 2:
             return None
         domain = ".".join(labels[-2:])
-        label = ".".join(labels[:-2]) or "@"
-        ownership = self.caches.l3.get(domain)
-        if ownership is None:
-            self.stats["chain_reads"] += 1
-            try:
-                asset = registry.lookup_domain(self.chain_view(), domain)
-            except Exception:
-                return None
-            if asset is None or asset.ipfs_hash is None:
-                return None
-            ownership = {"content_id": asset.ipfs_hash, "owner": asset.owner_address}
-            self.caches.l3.put(domain, ownership)
-        else:
-            self.stats["l3_hits"] += 1
-        return domain, label, ownership["content_id"]
+        self.stats["chain_reads"] += 1
+        try:
+            asset = registry.lookup_domain(self.chain_view(), domain)
+        except Exception:
+            return None
+        if asset is None or asset.ipfs_hash is None:
+            return None
+        return domain, ".".join(labels[:-2]) or "@", asset.ipfs_hash
 
     def _resolve_content(self, qname: str, qtype: int,
                          domain: str, label: str, content_id: str) -> Answer:
@@ -304,6 +298,7 @@ def serve_udp(resolver: Resolver, host: str | None = None, port: int | None = No
 # DoH front end (RFC 8484 over plain HTTP; TLS termination out of scope)
 
 DOH_MEDIA_TYPE = "application/dns-message"
+DOH_POLL_INTERVAL = 0.05  # seconds between shutdown checks; bounds `stop`
 
 
 class _DohHandler(BaseHTTPRequestHandler):
@@ -369,7 +364,8 @@ class DohServer(ThreadingHTTPServer):
     def __init__(self, resolver: Resolver, host: str, port: int):
         super().__init__((host, port), _DohHandler)
         self.resolver = resolver
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True,
+                                        kwargs={"poll_interval": DOH_POLL_INTERVAL})
 
     @property
     def address(self):

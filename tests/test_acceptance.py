@@ -144,7 +144,7 @@ def test_criterion_04_content_integrity(tmp_path, clock):
     for warm_first in (False, True):
         stack.caches.l1.clear()
         if warm_first:
-            stack.resolver.resolve("victim.ddns", 1)  # L2/L3 warm, L1 cleared
+            stack.resolver.resolve("victim.ddns", 1)  # L2 warm, L1 cleared
             stack.caches.l1.clear()
             stack.caches.invalidate("victim.ddns")
         with open(path, "wb") as fh:

@@ -3,7 +3,7 @@ import logging
 import os
 
 import ddns.cache
-from ddns.cache import CacheHierarchy, L1Cache, L2Cache, L3Cache
+from ddns.cache import CacheHierarchy, L1Cache, L2Cache
 
 
 class FakeClock:
@@ -71,29 +71,25 @@ def test_l2_corrupt_entry_dropped_and_logged(tmp_path, caplog):
     assert not os.path.exists(path)
 
 
-def test_l3_expiry():
-    clock = FakeClock()
-    cache = L3Cache(ttl=60, clock=clock)
-    cache.put("example.ddns", {"content_id": "Qm..."})
-    clock.t = 60
-    assert cache.get("example.ddns") is not None
-    clock.t = 61
-    assert cache.get("example.ddns") is None
-
-
 def test_hierarchy_invalidate_hits_all_tiers(tmp_path):
     caches = CacheHierarchy(str(tmp_path))
     caches.l1.put(("example.ddns", 1), "a")
     caches.l1.put(("www.example.ddns", 1), "a")
     caches.l1.put(("other.ddns", 1), "keep")
     caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    caches.l3.put("example.ddns", {"content_id": "Qm1"})
     caches.invalidate("example.ddns")
     assert caches.l1.get(("example.ddns", 1)) is None
     assert caches.l1.get(("www.example.ddns", 1)) is None  # subdomains too
     assert caches.l1.get(("other.ddns", 1)) == "keep"
     assert caches.l2.get(("example.ddns", 1, "Qm1")) is None
-    assert caches.l3.get("example.ddns") is None
+
+
+def test_invalidate_after_the_l2_directory_is_removed(tmp_path):
+    caches = CacheHierarchy(str(tmp_path / "l2"))
+    caches.l1.put(("example.ddns", 1), "a")
+    (tmp_path / "l2").rmdir()
+    caches.invalidate("example.ddns")
+    assert caches.l1.get(("example.ddns", 1)) is None
 
 
 def _l2_files(caches):
@@ -147,8 +143,12 @@ def test_invalidate_a_tld_drops_all_of_l2(tmp_path):
     caches = CacheHierarchy(str(tmp_path))
     caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
     caches.l2.put(("other.phi", 1, "Qm2"), "b", ttl=3600)
+    caches.l1.put(("www.example.ddns", 1), "a")
+    caches.l1.put(("other.phi", 1), "keep")
     caches.invalidate("ddns")
     assert _l2_files(caches) == []
+    assert caches.l1.get(("www.example.ddns", 1)) is None  # L1 drops the whole TLD too
+    assert caches.l1.get(("other.phi", 1)) == "keep"
 
 
 def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2(tmp_path):
@@ -156,7 +156,14 @@ def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2(tmp_path):
     caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
     caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
     caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
-    caches.invalidate("www.example.ddns")
+    for name in ("example.ddns", "a.b.example.ddns", "other.ddns", "notexample.ddns"):
+        caches.l1.put((name, 1), name)
+    caches.invalidate("WWW.Example.ddns.")
     assert caches.l2.get(("www.example.ddns", 1, "Qm1")) is None
     assert caches.l2.get(("example.ddns", 1, "Qm1")) is None  # a superset
     assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"
+    # L1 drops the same scope: the apex and every name under it
+    assert caches.l1.get(("example.ddns", 1)) is None
+    assert caches.l1.get(("a.b.example.ddns", 1)) is None
+    assert caches.l1.get(("other.ddns", 1)) == "other.ddns"
+    assert caches.l1.get(("notexample.ddns", 1)) == "notexample.ddns"

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import ddns.cache
 import ddns.resolver
 from conftest import fixture_bytes, make_zone
 from ddns.resolver import MAX_CNAME_DEPTH, Resolver, ResolverConfig, serve_doh, serve_udp
@@ -141,7 +142,7 @@ def test_cname_target_update_in_another_domain_is_served_at_once(stack, alice):
     answer = r.resolve("www.example.ddns", A)
     assert [rr.rtype for rr in answer.records] == [CNAME, A]
     assert answer.records[-1].rdata == bytes([10, 0, 0, 2])
-    stack.clock.advance(600)  # past L1, L3 and the old chained answer's L2 life
+    stack.clock.advance(600)  # past L1 and the old chained answer's L2 life
     assert r.resolve("www.example.ddns", A).records[-1].rdata == bytes([10, 0, 0, 2])
 
 
@@ -189,14 +190,46 @@ def test_tampered_store_object_never_served(stack, alice):
     assert stack.resolver.resolve("example.ddns", A).rcode == NOERROR
 
 
-def test_update_coherence_within_l3_ttl(stack, alice):
+def test_update_coherence_within_l1_ttl(stack, alice):
     _register_example(stack, alice)
     r = stack.resolver
     assert r.resolve("example.ddns", A).records[0].rdata == bytes([192, 168, 1, 100])
     new_zone = make_zone("example.ddns", {"@": {"A": [{"address": "10.0.0.5"}]}})
     stack.update("example.ddns", new_zone, alice)
-    stack.clock.advance(61)  # past both L1 and L3 TTL
+    stack.clock.advance(16)  # past the L1 TTL
     assert r.resolve("example.ddns", A).records[0].rdata == bytes([10, 0, 0, 5])
+
+
+def _two_label_zone(address):
+    return make_zone("example.ddns", {"@": {"A": [{"address": address}]},
+                                      "www": {"A": [{"address": address}]}})
+
+
+def test_confirmed_update_without_notice_is_served_within_l1_ttl(stack, alice):
+    stack.register("example.ddns", _two_label_zone("10.0.0.1"), alice)
+    r = stack.resolver
+    for name in ("example.ddns", "www.example.ddns"):
+        r.resolve(name, A)
+    stack.clock.advance(16)
+    for name in ("example.ddns", "www.example.ddns"):  # refill L1 from L2
+        assert r.resolve(name, A).records[0].rdata == bytes([10, 0, 0, 1])
+    stack.update("example.ddns", _two_label_zone("10.0.0.2"), alice)
+    stack.clock.advance(14)  # an L1 entry may serve the old answer this long
+    assert r.resolve("example.ddns", A).records[0].rdata == bytes([10, 0, 0, 1])
+    stack.clock.advance(2)
+    for name in ("example.ddns", "www.example.ddns"):
+        assert r.resolve(name, A).records[0].rdata == bytes([10, 0, 0, 2])
+
+
+def test_notice_update_of_a_subdomain_refreshes_its_whole_domain(stack, alice):
+    stack.register("example.ddns", _two_label_zone("10.0.0.1"), alice)
+    r = stack.resolver
+    for name in ("example.ddns", "www.example.ddns"):
+        r.resolve(name, A)
+    stack.update("example.ddns", _two_label_zone("10.0.0.2"), alice)
+    r.notice_update("www.example.ddns")
+    for name in ("example.ddns", "www.example.ddns"):
+        assert r.resolve(name, A).records[0].rdata == bytes([10, 0, 0, 2])
 
 
 def test_explicit_invalidation_is_immediate(stack, alice):
@@ -286,9 +319,13 @@ def test_counters_stay_exact_under_concurrent_queries(stack, alice, tmp_path):
     assert r.stats["l1_hits"] == rounds * (workers - 1)
 
 
-def test_failed_l2_write_still_answers(stack, alice, caplog):
+def test_failed_l2_write_still_answers(stack, alice, caplog, monkeypatch):
     _register_example(stack, alice)
-    shutil.rmtree(stack.caches.l2.directory)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ddns.cache.os, "replace", failing_replace)
     with caplog.at_level(logging.WARNING, logger="ddns"):
         answer = stack.resolver.resolve("example.ddns", A)
     assert answer.rcode == NOERROR
@@ -297,6 +334,21 @@ def test_failed_l2_write_still_answers(stack, alice, caplog):
     wire = encode_message(build_query("example.ddns", "A", msg_id=8))
     reply = decode_message(stack.resolver.handle_wire_query(wire))
     assert reply.rcode == NOERROR and reply.answers[0].rdata == bytes([192, 168, 1, 100])
+
+
+def test_removed_l2_directory_is_recreated(stack, alice, caplog):
+    _register_example(stack, alice)
+    r = stack.resolver
+    shutil.rmtree(stack.caches.l2.directory)
+    with caplog.at_level(logging.WARNING, logger="ddns"):
+        assert r.resolve("example.ddns", A).rcode == NOERROR
+    assert not caplog.records
+    stack.clock.advance(16)  # past the L1 TTL
+    before = dict(r.stats)
+    answer = r.resolve("example.ddns", A)
+    assert answer.records[0].rdata == bytes([192, 168, 1, 100])
+    assert r.stats["l2_hits"] == before["l2_hits"] + 1
+    assert r.stats["store_reads"] == before["store_reads"]
 
 
 # -- wire-level handling ------------------------------------------------------
