@@ -21,6 +21,8 @@ import logging
 import os
 import time
 
+from .fileio import write_atomic
+
 log = logging.getLogger(__name__)
 
 L1_CAPACITY = 50_000
@@ -104,16 +106,13 @@ class L2Cache:
 
     def put(self, key, value, ttl: int):
         path = self._path(key)
-        tmp = path + f".tmp.{os.getpid()}"
-        doc = {"key": list(key), "inserted_at": self.clock(), "ttl": ttl, "value": value}
+        doc = json.dumps({"key": list(key), "inserted_at": self.clock(), "ttl": ttl,
+                          "value": value})
         try:
-            fh = open(tmp, "w")
+            write_atomic(path, doc)
         except FileNotFoundError:  # the directory was removed: recreate it
             os.makedirs(self.directory, exist_ok=True)
-            fh = open(tmp, "w")
-        with fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+            write_atomic(path, doc)
 
 
 class CacheHierarchy:

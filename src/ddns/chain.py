@@ -1,6 +1,13 @@
 """Proof-of-work ledger: transactions, blocks, validation, mining,
 difficulty retargeting, and longest-chain reorganization.
 
+The chain keeps one mutable state at its tip. Connecting a block returns an
+undo record of the outputs it spent, the asset values it replaced and the
+outputs it created; disconnecting through that record alone, without the
+block, restores the parent's state, so a reorg or a side-branch check costs
+the blocks it moves past, not the size of the state. Blocks and block
+templates are checked on an overlay of the tip.
+
 Canonical serialization is little-endian fixed-width integers with
 length-prefixed variable fields, fields in declaration order. Uniqueness
 of that byte form is load-bearing: tx ids are double SHA-256 of it, and
@@ -10,9 +17,11 @@ slots zeroed.
 
 from __future__ import annotations
 
+import json
 import logging
 import struct
-from dataclasses import dataclass, field, replace
+from collections.abc import MutableMapping
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 from .encoding import sha256d
@@ -309,6 +318,8 @@ def sign_transaction(tx: Transaction, keypair) -> Transaction:
 # ---------------------------------------------------------------------------
 # Blocks
 
+HEADER_BYTES = 32 + 32 + 8 + 32 + 8 + 8
+
 
 @dataclass(frozen=True)
 class BlockHeader:
@@ -338,7 +349,7 @@ class BlockHeader:
             raise SerializationError("trailing bytes after header")
         return hdr
 
-    @property
+    @cached_property
     def hash(self) -> bytes:
         return sha256d(self.serialize())
 
@@ -359,7 +370,7 @@ class Block:
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
         r = Reader(data)
-        header = BlockHeader.deserialize(r.raw(32 + 32 + 8 + 32 + 8 + 8))
+        header = BlockHeader.deserialize(r.raw(HEADER_BYTES))
         txs = tuple(Transaction.deserialize(r.var()) for _ in range(r.u32()))
         if not r.done():
             raise SerializationError("trailing bytes after block")
@@ -423,13 +434,79 @@ def median_time_past(recent_headers) -> int:
 # Chain state
 
 
-@dataclass(frozen=True)
+_DELETED = object()
+
+
+class Overlay(MutableMapping):
+    """Changes kept apart from a base map, which they leave untouched: a block
+    or a block template is checked on an overlay of the tip before it is
+    connected."""
+
+    __slots__ = ("base", "changes")
+
+    def __init__(self, base):
+        self.base = base
+        self.changes = {}
+
+    def get(self, key, default=None):
+        changes = self.changes
+        if key in changes:
+            value = changes[key]
+            return default if value is _DELETED else value
+        return self.base.get(key, default)
+
+    def __contains__(self, key):
+        return self.get(key, _DELETED) is not _DELETED
+
+    def __getitem__(self, key):
+        value = self.get(key, _DELETED)
+        if value is _DELETED:
+            raise KeyError(key)
+        return value
+
+    def __setitem__(self, key, value):
+        self.changes[key] = value
+
+    def __delitem__(self, key):
+        self[key]  # KeyError when absent
+        self.changes[key] = _DELETED
+
+    def __iter__(self):
+        changes = self.changes
+        yield from (key for key in self.base if key not in changes)
+        yield from (key for key, value in changes.items() if value is not _DELETED)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
+def _utxo_row(key, out: TxOutput) -> list:
+    return [key[0].hex(), key[1], out.value, out.recipient]
+
+
+def _utxo_from_row(row) -> tuple:
+    txid, index, value, recipient = row
+    return (bytes.fromhex(txid), index), TxOutput(value, recipient)
+
+
+def _asset_from_row(row):
+    from .registry import DomainAsset
+    return DomainAsset(*row)
+
+
+@dataclass
 class ChainState:
+    """The UTXO and asset maps at one block. `Chain` keeps one, at its tip,
+    and changes it in place; `overlay()` is a state to try changes on."""
     utxos: dict            # (txid, index) -> TxOutput
     assets: dict           # asset_name -> registry.DomainAsset
     tip: bytes
     height: int
     recent_headers: tuple  # up to the last 30 headers, oldest first
+
+    def overlay(self) -> "ChainState":
+        return ChainState(Overlay(self.utxos), Overlay(self.assets), self.tip, self.height,
+                          self.recent_headers)
 
     def digest(self) -> bytes:
         w = Writer()
@@ -449,7 +526,65 @@ class ChainState:
         w.u64(self.height)
         return sha256d(w.getvalue())
 
+    def to_json(self) -> dict:
+        """Tip, height, digest and both maps as JSON values: a snapshot's body."""
+        return {"tip": self.tip.hex(), "height": self.height, "digest": self.digest().hex(),
+                "utxos": [_utxo_row(key, out) for key, out in self.utxos.items()],
+                "assets": [astuple(asset) for asset in self.assets.values()]}
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "ChainState":
+        """The state `to_json` gave, without its recent headers. Raises
+        ValueError when the maps do not hash to the recorded digest."""
+        assets = [_asset_from_row(row) for row in doc["assets"]]
+        state = cls(dict(map(_utxo_from_row, doc["utxos"])),
+                    {asset.asset_name: asset for asset in assets},
+                    bytes.fromhex(doc["tip"]), doc["height"], ())
+        if state.digest().hex() != doc["digest"]:
+            raise ValueError("state digest mismatch")
+        return state
+
+
+@dataclass(frozen=True)
+class ChainView:
+    """The names at a tip, as `Chain.view` publishes them after each whole
+    `add_block`; `registry.lookup_domain` reads it as it reads a state."""
+    assets: dict
+    tip: bytes
+    height: int
+
+
+@dataclass
+class BlockUndo:
+    """What connecting a block overwrote: the outputs it spent, in spending
+    order, each asset it changed as it was before (None: not registered),
+    and each unspent output it created again under the same key (a tx, such
+    as a repeated coinbase, whose txid is already unspent). With each tx's
+    id and input and output counts, in block order, it is all that
+    disconnecting the block needs, so a walk back never decodes a block."""
+    spent: list = field(default_factory=list)     # [((txid, index), TxOutput)]
+    assets: dict = field(default_factory=dict)    # asset_name -> DomainAsset | None
+    replaced: dict = field(default_factory=dict)  # (txid, index) -> TxOutput
+    txs: list = field(default_factory=list)       # [(txid, inputs, outputs)]
+
+    def encode(self) -> bytes:
+        return json.dumps({
+            "spent": [_utxo_row(key, out) for key, out in self.spent],
+            "assets": [[name, None if asset is None else astuple(asset)]
+                       for name, asset in self.assets.items()],
+            "replaced": [_utxo_row(key, out) for key, out in self.replaced.items()],
+            "txs": [[txid.hex(), inputs, outputs] for txid, inputs, outputs in self.txs],
+        }).encode()
+
+    @classmethod
+    def decode(cls, data: bytes) -> "BlockUndo":
+        doc = json.loads(data)
+        return cls([_utxo_from_row(row) for row in doc["spent"]],
+                   {name: None if row is None else _asset_from_row(row)
+                    for name, row in doc["assets"]},
+                   dict(map(_utxo_from_row, doc["replaced"])),
+                   [(bytes.fromhex(txid), inputs, outputs)
+                    for txid, inputs, outputs in doc["txs"]])
 
 
 def validate_transaction(tx: Transaction, state: ChainState) -> ValidationResult:
@@ -505,21 +640,31 @@ def transaction_fee(tx: Transaction, state: ChainState) -> int:
 
 
 def validate_block(block: Block, state: ChainState, now: int | None = None) -> ValidationResult:
+    if block.header.previous_hash != state.tip:
+        return invalid("unknown-parent", "header does not extend the given state")
+    result = check_block(block, state.recent_headers, state.height, now)
+    if not result.ok:
+        return result
+    return check_block_transactions(block, state)
+
+
+def check_block(block: Block, recent_headers: tuple, parent_height: int,
+                now: int | None = None) -> ValidationResult:
+    """The checks of `validate_block` that need only the parent's height and
+    recent headers, not its state: header, proof of work, merkle root, size."""
     import time as _time
     if now is None:
         now = int(_time.time())
     header = block.header
-    if header.previous_hash != state.tip:
-        return invalid("unknown-parent", "header does not extend the given state")
-    if header.height != state.height + 1:
+    if header.height != parent_height + 1:
         return invalid("bad-tx", "wrong height")
-    expected_target = adjust_difficulty(state.recent_headers)
+    expected_target = adjust_difficulty(recent_headers)
     if header.difficulty_target != expected_target:
         return invalid("bad-difficulty",
                        f"target {header.difficulty_target:#x} != expected {expected_target:#x}")
     if int.from_bytes(header.hash, "big") > header.difficulty_target:
         return invalid("bad-pow", "header hash above target")
-    if header.timestamp <= median_time_past(state.recent_headers):
+    if header.timestamp <= median_time_past(recent_headers):
         return invalid("bad-timestamp", "timestamp not past median of prior 11")
     if header.timestamp > now + MAX_FUTURE_DRIFT:
         return invalid("bad-timestamp", "timestamp too far in the future")
@@ -532,10 +677,16 @@ def validate_block(block: Block, state: ChainState, now: int | None = None) -> V
         return invalid("bad-tx", "duplicate transaction")
     if block_weight(block) > MAX_BLOCK_WEIGHT:
         return invalid("overweight", f"block weight {block_weight(block)}")
-    coinbase = block.transactions[0]
-    if not coinbase.is_coinbase:
+    if not block.transactions[0].is_coinbase:
         return invalid("bad-tx", "first transaction must be coinbase")
-    working = state
+    return valid()
+
+
+def check_block_transactions(block: Block, state: ChainState) -> ValidationResult:
+    """The rest of `validate_block`: each tx against `state`, the block's
+    parent, as the txs before it in the block leave it."""
+    coinbase = block.transactions[0]
+    working = state.overlay()
     fees = 0
     for i, tx in enumerate(block.transactions[1:], start=1):
         if tx.is_coinbase:
@@ -544,35 +695,70 @@ def validate_block(block: Block, state: ChainState, now: int | None = None) -> V
         if not result.ok:
             return invalid(f"bad-tx({i})", f"{result.code}: {result.detail}")
         fees += transaction_fee(tx, working)
-        working = _apply_transaction(working, tx)
+        _apply_transaction(working, tx)
     coinbase_value = sum(o.value for o in coinbase.outputs)
     if coinbase_value > BLOCK_SUBSIDY + fees:
         return invalid("bad-tx(0)", "coinbase exceeds subsidy plus fees")
     return valid()
 
 
-def _apply_transaction(state: ChainState, tx: Transaction) -> ChainState:
+def _apply_transaction(state: ChainState, tx: Transaction, undo: BlockUndo | None = None):
+    """Fold a valid tx into `state` in place, noting in `undo` what it overwrote."""
     from . import registry
-    utxos = dict(state.utxos)
-    txid = tx.txid
+    utxos = state.utxos
     for txin in tx.inputs:
-        del utxos[(txin.prev_txid, txin.index)]
+        key = (txin.prev_txid, txin.index)
+        spent = utxos.pop(key)
+        if undo is not None:
+            undo.spent.append((key, spent))
+    txid = tx.txid
+    if undo is not None:
+        undo.txs.append((txid, len(tx.inputs), len(tx.outputs)))
     for idx, out in enumerate(tx.outputs):
-        utxos[(txid, idx)] = out
-    assets = state.assets
-    if tx.asset_op is not None:
-        assets = registry.apply_asset_operation(dict(assets), tx)
-    return replace(state, utxos=utxos, assets=assets)
+        key = (txid, idx)
+        if undo is not None and key in utxos:
+            undo.replaced[key] = utxos[key]
+        utxos[key] = out
+    op = tx.asset_op
+    if op is not None:
+        if undo is not None and op.asset_name not in undo.assets:
+            undo.assets[op.asset_name] = state.assets.get(op.asset_name)
+        registry.apply_asset_operation(state.assets, tx)
 
 
-def apply_block(state: ChainState, block: Block) -> ChainState:
-    """Pure state transition; the input state is left untouched."""
-    working = state
+def apply_block(state: ChainState, block: Block) -> BlockUndo:
+    """Connect a valid block to `state` in place; returns its undo record."""
+    undo = BlockUndo()
     for tx in block.transactions:
-        working = _apply_transaction(working, tx)
-    headers = (tuple(state.recent_headers) + (block.header,))[-DIFFICULTY_WINDOW:]
-    return replace(working, tip=block.header.hash, height=block.header.height,
-                   recent_headers=headers)
+        _apply_transaction(state, tx, undo)
+    state.tip, state.height = block.header.hash, block.header.height
+    state.recent_headers = (state.recent_headers + (block.header,))[-DIFFICULTY_WINDOW:]
+    return undo
+
+
+def disconnect_block(state: ChainState, header: BlockHeader, undo: BlockUndo,
+                     recent_headers: tuple):
+    """Reverse `apply_block` of the block with `header` in place: `state` goes
+    back to the block's parent, whose recent headers the caller gives."""
+    utxos, replaced = state.utxos, undo.replaced
+    spent = list(undo.spent)
+    for txid, inputs, outputs in reversed(undo.txs):
+        for idx in range(outputs):
+            key = (txid, idx)
+            if key in replaced:
+                utxos[key] = replaced[key]
+            else:
+                del utxos[key]
+        for _ in range(inputs):
+            key, out = spent.pop()
+            utxos[key] = out
+    for name, prior in undo.assets.items():
+        if prior is None:
+            del state.assets[name]
+        else:
+            state.assets[name] = prior
+    state.tip, state.height = header.previous_hash, header.height - 1
+    state.recent_headers = recent_headers
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +781,7 @@ def select_transactions(mempool, state: ChainState, budget: int):
     scored.sort(key=lambda item: (item[0], item[1]))
     chosen = []
     chosen_ids = set()
-    working = state
+    working = state.overlay()
     used = 0
     for _, _, tx, weight in scored:
         if used + weight > budget:
@@ -608,7 +794,7 @@ def select_transactions(mempool, state: ChainState, budget: int):
         chosen.append(tx)
         chosen_ids.add(txid)
         used += weight
-        working = _apply_transaction(working, tx)
+        _apply_transaction(working, tx)
     return chosen
 
 
@@ -652,8 +838,9 @@ def make_genesis(target: int = DEFAULT_GENESIS_TARGET,
 
 
 def genesis_state(genesis: Block) -> ChainState:
-    empty = ChainState({}, {}, b"\x00" * 32, -1, ())
-    return apply_block(empty, genesis)
+    state = ChainState({}, {}, b"\x00" * 32, -1, ())
+    apply_block(state, genesis)
+    return state
 
 
 @dataclass
@@ -666,66 +853,177 @@ class AddBlockResult:
 
 def reorg_path(tip, candidate, parent, height):
     """Longest-chain fork choice: None unless `candidate` is higher than `tip`
-    (the first block seen wins a tie), else the `(abandoned, attached)` blocks,
-    each oldest first, found by walking back only to the fork point."""
+    (the first block seen wins a tie), else `fork_path(tip, candidate, ...)`."""
     if height(candidate) <= height(tip):
         return None
+    return fork_path(tip, candidate, parent, height)
+
+
+def fork_path(tip, target, parent, height):
+    """The `(abandoned, attached)` blocks from `tip` to `target`, each oldest
+    first, found by walking back only to the fork point. Each block's height
+    is its parent's plus one."""
     abandoned, attached = [], []
-    while height(candidate) > height(tip):
-        attached.append(candidate)
-        candidate = parent(candidate)
-    while candidate != tip:
+    depth = height(target) - height(tip)
+    while depth > 0:
+        attached.append(target)
+        target = parent(target)
+        depth -= 1
+    while depth < 0:
         abandoned.append(tip)
-        attached.append(candidate)
-        tip, candidate = parent(tip), parent(candidate)
+        tip = parent(tip)
+        depth += 1
+    while target != tip:
+        abandoned.append(tip)
+        attached.append(target)
+        tip, target = parent(tip), parent(target)
     return abandoned[::-1], attached[::-1]
 
 
+class LazyMap(MutableMapping):
+    """A map whose values may be added as bytes. Those are decoded on each
+    read and never kept decoded, so the blocks below a snapshot, read only
+    when a reorg or a side block reaches them, stay bytes."""
+
+    def __init__(self, decode):
+        self.decode = decode
+        self.decoded = {}
+        self.raw = {}
+
+    def __getitem__(self, key):
+        value = self.decoded.get(key)
+        return self.decode(self.raw[key]) if value is None else value
+
+    def __setitem__(self, key, value):
+        self.raw.pop(key, None)
+        self.decoded[key] = value
+
+    def __delitem__(self, key):
+        if self.decoded.pop(key, None) is None:
+            del self.raw[key]
+
+    def __contains__(self, key):
+        return key in self.decoded or key in self.raw
+
+    def __iter__(self):
+        yield from self.decoded
+        yield from self.raw
+
+    def __len__(self):
+        return len(self.decoded) + len(self.raw)
+
+
 class Chain:
-    """Block tree with longest-chain selection and first-seen tie-breaking."""
+    """Block tree with longest-chain selection and first-seen tie-breaking.
+
+    `state` is the one chain state, at the tip, changed in place. Connecting
+    a block keeps its undo record, so a reorg disconnects back to the fork
+    point through those records and connects the other branch. A block on a
+    side branch that is not longer is checked on an overlay of the tip taken
+    back to its parent the same way, so the tip never moves for it; that
+    costs a disconnect per block between the tip and the fork point. Blocks
+    are validated once, when first reached; a failure leaves the tip where it
+    was. Other threads read `view`, the names as of the last whole
+    `add_block`.
+    """
 
     def __init__(self, genesis: Block | None = None):
         self.genesis = genesis or make_genesis()
         ghash = self.genesis.header.hash
-        self.blocks = {ghash: self.genesis}
-        self.states = {ghash: genesis_state(self.genesis)}
-        self.tip_hash = ghash
+        self.headers = {ghash: self.genesis.header}
+        self.blocks = LazyMap(Block.deserialize)
+        self.blocks[ghash] = self.genesis
+        self.undo = LazyMap(BlockUndo.decode)
+        self._checked = {ghash}
+        self.state = genesis_state(self.genesis)
+        self.view = ChainView(dict(self.state.assets), ghash, 0)
 
     @property
-    def state(self) -> ChainState:
-        return self.states[self.tip_hash]
+    def tip_hash(self) -> bytes:
+        return self.state.tip
 
     @property
     def height(self) -> int:
         return self.state.height
 
+    def _parent(self, bhash: bytes) -> bytes:
+        return self.headers[bhash].previous_hash
+
+    def _height(self, bhash: bytes) -> int:
+        return self.headers[bhash].height
+
+    def _recent(self, bhash: bytes) -> tuple:
+        """The retarget window of headers ending at `bhash`, oldest first."""
+        out = []
+        while bhash in self.headers and len(out) < DIFFICULTY_WINDOW:
+            out.append(self.headers[bhash])
+            bhash = out[-1].previous_hash
+        return tuple(out[::-1])
+
     def branch(self, candidate: bytes):
         """`reorg_path` from the tip to the stored block `candidate`."""
-        return reorg_path(self.tip_hash, candidate, lambda h: self.blocks[h].header.previous_hash,
-                          lambda h: self.blocks[h].header.height)
+        return reorg_path(self.tip_hash, candidate, self._parent, self._height)
+
+    def _move(self, state: ChainState, target: bytes, now: int | None = None) -> str | None:
+        """Take `state`, the tip's state or an overlay of it, to `target`:
+        disconnect to the fork point, then connect up to `target`, validating
+        each block not yet checked (`target` at `now`, a stored block at its
+        own time). Stops at a failure and returns its code. Undo records are
+        kept only for the tip's own state."""
+        abandoned, attached = fork_path(state.tip, target, self._parent, self._height)
+        for bhash in reversed(abandoned):
+            header = self.headers[bhash]
+            disconnect_block(state, header, self.undo[bhash], self._recent(header.previous_hash))
+        for bhash in attached:
+            block = self.blocks[bhash]
+            if bhash not in self._checked:
+                result = validate_block(block, state,
+                                        now=now if bhash == target else block.header.timestamp)
+                if not result.ok:
+                    return result.code
+                self._checked.add(bhash)
+            undo = apply_block(state, block)
+            if state is self.state:
+                self.undo[bhash] = undo
+        return None
 
     def add_block(self, block: Block, now: int | None = None) -> AddBlockResult:
-        bhash = block.header.hash
-        if bhash in self.blocks:
+        header = block.header
+        bhash = header.hash
+        if bhash in self.headers:
             return AddBlockResult(False, "duplicate")
-        parent = block.header.previous_hash
-        if parent not in self.states:
+        parent = header.previous_hash
+        if parent not in self.headers:
             return AddBlockResult(False, "unknown-parent")
-        parent_state = self.states[parent]
-        result = validate_block(block, parent_state, now=now)
-        if not result.ok:
-            return AddBlockResult(False, result.code)
+        old_tip = self.tip_hash
+        if parent != old_tip:
+            # Off the tip: the checks that need no state come before any walk.
+            result = check_block(block, self._recent(parent), self._height(parent), now)
+            if not result.ok:
+                return AddBlockResult(False, result.code)
+        self.headers[bhash] = header
         self.blocks[bhash] = block
-        self.states[bhash] = apply_block(parent_state, block)
         path = self.branch(bhash)
         if path is None:
+            code = self._move(self.state.overlay(), bhash, now)
+        else:
+            code = self._move(self.state, bhash, now)
+            if code is not None:
+                # Back to the old tip, whose blocks are all checked, so this
+                # cannot fail.
+                self._move(self.state, old_tip)
+            state = self.state
+            if state.tip != old_tip:
+                self.view = ChainView(dict(state.assets), state.tip, state.height)
+        if code is not None:  # never connected, so it has no undo record
+            del self.headers[bhash], self.blocks[bhash]
+            return AddBlockResult(False, code)
+        if path is None or not path[0]:
             return AddBlockResult(True)
         abandoned, attached = path
-        old_tip, self.tip_hash = self.tip_hash, bhash
-        if not abandoned:
-            return AddBlockResult(True)
-        # No txid is confirmed twice on one branch, so a tx of the abandoned
-        # blocks is still confirmed only if an attached block carries it.
+        # Only a coinbase can be confirmed twice on one branch, so any other
+        # tx of the abandoned blocks stays confirmed only if an attached block
+        # carries it.
         attached_ids = {tx.txid for h in attached for tx in self.blocks[h].transactions}
         returned = [tx for h in abandoned for tx in self.blocks[h].transactions
                     if not tx.is_coinbase and tx.txid not in attached_ids]
@@ -733,3 +1031,36 @@ class Chain:
                  len(abandoned), len(attached), len(returned), old_tip.hex()[:16],
                  bhash.hex()[:16])
         return AddBlockResult(True, reorged=True, returned_txs=returned)
+
+    # -- restart from a snapshot ----------------------------------------------
+
+    def index(self, raw: bytes) -> bytes:
+        """Add a stored block by its header alone and return its hash. Its
+        bytes are kept and decoded only if a reorg needs the block; it is
+        validated only if it is ever connected."""
+        header = BlockHeader.deserialize(raw[:HEADER_BYTES])
+        if header.previous_hash not in self.headers:
+            raise SerializationError("stored block precedes its parent")
+        bhash = header.hash
+        if bhash not in self.headers:
+            self.headers[bhash] = header
+            self.blocks.raw[bhash] = raw
+        return bhash
+
+    def restore(self, state: ChainState, undo: dict):
+        """Make `state`, a snapshot at an indexed block, the tip. `undo` maps
+        block hashes to encoded undo records and must hold one for every
+        block from genesis to that tip, which the snapshot vouches for."""
+        header = self.headers.get(state.tip)
+        if header is None or header.height != state.height:
+            raise ValueError("snapshot tip is not a stored block")
+        bhash = state.tip
+        while bhash != self.genesis.header.hash:
+            if bhash not in undo:
+                raise ValueError(f"no undo record for block {bhash.hex()[:16]}")
+            self._checked.add(bhash)
+            bhash = self._parent(bhash)
+        self.undo.raw.update(undo)
+        state.recent_headers = self._recent(state.tip)
+        self.state = state
+        self.view = ChainView(dict(state.assets), state.tip, state.height)

@@ -1,8 +1,29 @@
 """Local node: persistent chain, mempool, content store, and the glue
 between the CLI, the miner, and the resolver.
 
-The block file is append-only length-prefixed canonical block bytes;
-restart replays it from genesis, which also re-derives the full state.
+The data directory holds:
+
+- `blocks.dat`: every accepted block, side branches included, in arrival
+  order, as length-prefixed canonical bytes. It is the source of truth.
+- `undo.dat`: the undo record of each connected block (the outputs it
+  spent, the asset values it replaced and its txids), framed the same way, each
+  record led by its block's hash. It is appended when a snapshot is
+  written, so a reorg after a restart can disconnect blocks the snapshot
+  covers.
+- `chainstate.snap`: the tip's UTXO and asset maps with the tip hash,
+  height and state digest, and the `blocks.dat` and `undo.dat` lengths it
+  covers, written atomically at the end of an open that replayed at least
+  SNAPSHOT_INTERVAL blocks and whenever the tip gets that far past the
+  last snapshot. It is only a cache: a write that fails logs one warning.
+
+An open with a good snapshot indexes the covered blocks by header only,
+checks the digest and replays only the blocks after it, so it verifies no
+signature and decodes no tx below the snapshot. A snapshot that is torn,
+does not match its digest, names a tip `blocks.dat` lacks, or lacks its
+undo records gets one warning and is deleted, and the open replays
+`blocks.dat` from genesis. The snapshot and the undo records are trusted
+as Bitcoin Core trusts its chainstate: the digest catches corruption, not
+forgery, so whoever can write the data directory can change the state.
 
 The mempool is kept in two files: `mempool.json`, a JSON list of tx hex
 written atomically, and `mempool.log`, txs submitted since, one JSON string
@@ -21,11 +42,12 @@ import os
 import struct
 import threading
 
-from .chain import (MAX_BLOCK_WEIGHT, WEIGHT_PER_BYTE, Block, Chain, Transaction, make_genesis,
-                    mine_block, validate_transaction)
+from .chain import (MAX_BLOCK_WEIGHT, WEIGHT_PER_BYTE, Block, Chain, ChainState, Transaction,
+                    make_genesis, mine_block, validate_transaction)
 from .config import NodeConfig
 from .encoding import sha256d
-from .errors import DdnsError
+from .errors import DdnsError, SerializationError
+from .fileio import write_atomic
 from .keys import KeyPair, generate_keypair
 from .store import ContentStore
 
@@ -39,6 +61,32 @@ MAX_RECORD_BYTES = 2 * (MAX_BLOCK_WEIGHT // WEIGHT_PER_BYTE)
 # About 1,500 records. Creating the log again after every block cost the
 # submits more than their appends did.
 MEMPOOL_LOG_LIMIT = 1 << 20
+# Blocks of height between snapshots, and the replay that earns one at open.
+# A snapshot costs a JSON dump of the whole state and a rename over the old
+# file, which waits on the disk, so they stay rare; a restart replays fewer
+# blocks than this past the last one.
+SNAPSHOT_INTERVAL = 250
+
+
+def _frame(payload: bytes) -> bytes:
+    return struct.pack("<I", len(payload)) + payload
+
+
+def _records(data: bytes):
+    """The `(start, end)` payload spans of a file of length-prefixed records,
+    and where the last whole record ends. A length over MAX_RECORD_BYTES
+    raises DdnsError."""
+    spans, pos = [], 0
+    while len(data) - pos >= 4:
+        length = struct.unpack_from("<I", data, pos)[0]
+        if length > MAX_RECORD_BYTES:
+            raise DdnsError(f"corrupt record file: record at offset {pos} claims "
+                            f"{length} bytes, over the {MAX_RECORD_BYTES}-byte cap")
+        if len(data) - pos - 4 < length:
+            break
+        spans.append((pos + 4, pos + 4 + length))
+        pos += 4 + length
+    return spans, pos
 
 
 def save_key_file(path: str, keypair: KeyPair):
@@ -65,10 +113,11 @@ class LocalNode:
         self.config = config
         os.makedirs(config.data_dir, exist_ok=True)
         self.store = ContentStore(config.store_path)
-        self.chain = Chain(make_genesis(config.genesis_target, config.genesis_timestamp))
         self.mempool: list = []
         self._lock = threading.RLock()
         self._blocks_path = os.path.join(config.data_dir, "blocks.dat")
+        self._undo_path = os.path.join(config.data_dir, "undo.dat")
+        self._snapshot_path = os.path.join(config.data_dir, "chainstate.snap")
         self._mempool_path = os.path.join(config.data_dir, "mempool.json")
         self._mempool_log_path = os.path.join(config.data_dir, "mempool.log")
         self._saved_mempool = None
@@ -76,28 +125,30 @@ class LocalNode:
 
     # -- persistence ----------------------------------------------------------
 
+    def _new_chain(self) -> Chain:
+        return Chain(make_genesis(self.config.genesis_target, self.config.genesis_timestamp))
+
     def _load(self):
+        data = b""
         if os.path.exists(self._blocks_path):
             with open(self._blocks_path, "rb") as fh:
                 data = fh.read()
-            pos = 0
-            while pos < len(data):
-                length = struct.unpack_from("<I", data, pos)[0] if len(data) - pos >= 4 else None
-                if length is not None and length > MAX_RECORD_BYTES:
-                    raise DdnsError(f"corrupt block file: record at offset {pos} claims "
-                                    f"{length} bytes, over the {MAX_RECORD_BYTES}-byte cap")
-                if length is None or len(data) - pos - 4 < length:
-                    # A crash mid-append leaves a partial last record: drop it.
-                    log.warning("blocks.dat: truncating a torn final record of %d bytes at offset %d",
-                                len(data) - pos, pos)
-                    with open(self._blocks_path, "r+b") as fh:
-                        fh.truncate(pos)
-                    break
-                block = Block.deserialize(data[pos + 4:pos + 4 + length])
-                pos += 4 + length
-                result = self.chain.add_block(block, now=block.header.timestamp)
-                if not result.accepted and result.code != "duplicate":
-                    raise DdnsError(f"corrupt block file: {result.code}")
+        spans, end = _records(data)
+        if end < len(data):
+            # A crash mid-append leaves a partial last record: drop it.
+            log.warning("blocks.dat: truncating a torn final record of %d bytes at offset %d",
+                        len(data) - end, end)
+            with open(self._blocks_path, "r+b") as fh:
+                fh.truncate(end)
+        self._blocks_len = end
+        covered = self._restore_snapshot(data, spans)
+        for start, stop in spans[covered:]:
+            block = Block.deserialize(data[start:stop])
+            result = self.chain.add_block(block, now=block.header.timestamp)
+            if not result.accepted and result.code != "duplicate":
+                raise DdnsError(f"corrupt block file: {result.code}")
+        if len(spans) - covered >= SNAPSHOT_INTERVAL:
+            self._write_snapshot()
         stored = []
         if os.path.exists(self._mempool_path):
             with open(self._mempool_path) as fh:
@@ -119,10 +170,74 @@ class LocalNode:
                 self.mempool.append(tx)
         self._save_mempool(drop_log=True)
 
+    def _restore_snapshot(self, data: bytes, spans) -> int:
+        """Start `self.chain` from `chainstate.snap`, its blocks indexed by
+        header; returns how many of `spans` it covers. Without a usable
+        snapshot the chain starts at genesis and 0 is returned; undo.dat is
+        then rewritten whole with the next snapshot."""
+        self.chain = self._new_chain()
+        self._saved_undo, self._undo_len, self._snapshot_height = set(), 0, 0
+        if not os.path.exists(self._snapshot_path):
+            return 0
+        try:
+            with open(self._snapshot_path, "rb") as fh:
+                doc = json.loads(fh.read())
+            ends = [0] + [stop for _, stop in spans]
+            if doc["blocks_len"] not in ends:
+                raise ValueError("blocks.dat has no record end where the snapshot ends")
+            covered = ends.index(doc["blocks_len"])
+            undo_len = doc["undo_len"]
+            with open(self._undo_path, "rb") as fh:
+                undo_data = fh.read(undo_len)
+            undo_spans, undo_end = _records(undo_data)
+            if undo_end != undo_len:
+                raise ValueError("undo.dat lacks records the snapshot covers")
+            for start, stop in spans[:covered]:
+                self.chain.index(data[start:stop])
+            undo = {undo_data[start:start + 32]: undo_data[start + 32:stop]
+                    for start, stop in undo_spans}
+            self.chain.restore(ChainState.from_json(doc), undo)
+        except (OSError, ValueError, KeyError, TypeError, DdnsError, SerializationError) as exc:
+            log.warning("chainstate.snap unusable (%s): replaying blocks.dat from genesis", exc)
+            os.remove(self._snapshot_path)
+            self.chain = self._new_chain()
+            return 0
+        # Records past the snapshot's length were appended for a snapshot
+        # that was never written.
+        with open(self._undo_path, "r+b") as fh:
+            fh.truncate(undo_len)
+        self._saved_undo, self._undo_len = set(undo), undo_len
+        self._snapshot_height = self.chain.height
+        return covered
+
+    def _write_snapshot(self):
+        """Append the undo records not yet in undo.dat, then write the snapshot.
+
+        The snapshot is only a cache, so a write that fails logs one warning
+        and the node goes on; the next try is an interval later and writes
+        undo.dat whole, since the failed append may have left part of a record.
+        """
+        chain = self.chain
+        self._snapshot_height = chain.height
+        try:
+            fresh = [h for h in chain.undo if h not in self._saved_undo]
+            records = b"".join(_frame(h + chain.undo[h].encode()) for h in fresh)
+            with open(self._undo_path, "ab" if self._undo_len else "wb") as fh:
+                fh.write(records)
+            self._saved_undo.update(fresh)
+            self._undo_len += len(records)
+            doc = chain.state.to_json()
+            doc.update(blocks_len=self._blocks_len, undo_len=self._undo_len)
+            write_atomic(self._snapshot_path, json.dumps(doc))
+        except OSError as exc:
+            log.warning("chainstate.snap not written at height %d: %s", chain.height, exc)
+            self._saved_undo, self._undo_len = set(), 0
+
     def _append_block(self, block: Block):
-        raw = block.serialize()
+        record = _frame(block.serialize())
         with open(self._blocks_path, "ab") as fh:
-            fh.write(struct.pack("<I", len(raw)) + raw)
+            fh.write(record)
+        self._blocks_len += len(record)
 
     def _log_submitted(self, tx: Transaction):
         # Each record starts with its newline, so a record torn by a failed
@@ -138,10 +253,7 @@ class LocalNode:
         MEMPOOL_LOG_LIMIT."""
         pending = [tx.serialize().hex() for tx in self.mempool]
         if pending != self._saved_mempool:
-            tmp = self._mempool_path + f".tmp.{os.getpid()}"
-            with open(tmp, "w") as fh:
-                json.dump(pending, fh)
-            os.replace(tmp, self._mempool_path)
+            write_atomic(self._mempool_path, json.dumps(pending))
             self._saved_mempool = pending
         try:
             if drop_log or os.path.getsize(self._mempool_log_path) > MEMPOOL_LOG_LIMIT:
@@ -175,6 +287,8 @@ class LocalNode:
                 self.mempool = [tx for tx in self.mempool + result.returned_txs
                                 if validate_transaction(tx, state).ok]
                 self._save_mempool()
+                if self.chain.height - self._snapshot_height >= SNAPSHOT_INTERVAL:
+                    self._write_snapshot()
             return result
 
     def mine(self, blocks: int, coinbase_address: str, now: int | None = None):
@@ -200,7 +314,8 @@ class LocalNode:
         return self.chain.state
 
     def chain_view(self):
-        return self.chain.state
+        """The names as of the last whole block: safe to read from any thread."""
+        return self.chain.view
 
     def next_nonce(self) -> int:
         # Distinct nonces keep otherwise-identical asset operations from

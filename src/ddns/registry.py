@@ -86,7 +86,8 @@ def dns_to_asset(dns_name: str) -> str:
 
 
 def lookup_domain(state: ChainState, name: str) -> DomainAsset | None:
-    """Accepts either asset form ("DDNS/EXAMPLE") or DNS form ("example.ddns")."""
+    """Accepts either asset form ("DDNS/EXAMPLE") or DNS form ("example.ddns");
+    `state` may be a `ChainState` or a `ChainView`."""
     if "/" not in name:
         name = dns_to_asset(name)
     else:

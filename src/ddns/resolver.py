@@ -77,7 +77,8 @@ def _answer_from_cache(doc: dict) -> Answer:
 class Resolver:
     def __init__(self, config: ResolverConfig, chain_view, store,
                  caches: CacheHierarchy | None = None):
-        """`chain_view` is a zero-arg callable returning the current ChainState."""
+        """`chain_view` is a zero-arg callable returning the current names: a
+        `ChainView` published after each whole block, or a `ChainState`."""
         self.config = config
         self.chain_view = chain_view
         self.store = store

@@ -12,6 +12,7 @@ import os
 
 from .encoding import b58decode, b58encode, sha256
 from .errors import CorruptionError, InvalidContentIdError, NotFoundError, StoreUnavailableError
+from .fileio import write_atomic
 
 MULTIHASH_PREFIX = b"\x12\x20"  # sha2-256, 32-byte digest
 
@@ -61,10 +62,7 @@ class ContentStore:
             return content_id
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + f".tmp.{os.getpid()}"
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
+            write_atomic(path, payload)
         except OSError as exc:
             raise StoreUnavailableError(str(exc)) from exc
         return content_id

@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
                         DIFFICULTY_CLAMP, MAX_TARGET, REGISTRATION_FEE,
-                        TARGET_BLOCK_TIME, AssetOperation, Block, BlockHeader,
+                        TARGET_BLOCK_TIME, AssetOperation, Block, BlockHeader, BlockUndo,
                         Chain, Transaction, TxInput,
-                        adjust_difficulty,
+                        adjust_difficulty, apply_block,
                         genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
                         select_transactions, sign_transaction, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
+from ddns.config import NodeConfig
 from ddns.errors import InvalidKeyError, SerializationError
 from ddns.keys import generate_keypair
+from ddns.node import LocalNode
+from ddns import chain as chain_module, node as node_module
 from ddns.store import content_id_of
 from ddns import registry
 
@@ -44,6 +47,24 @@ def mined(chain, mempool=(), address=ALICE.address, now=None):
 
 def register_tx(state, name="DDNS/EXAMPLE", keypair=ALICE, cid=CID, nonce=0):
     return registry.register_domain(name, cid, keypair, state, nonce=nonce)
+
+
+def _genesis_walk(blocks, tip):
+    out = []
+    while tip in blocks:
+        out.append(tip)
+        tip = blocks[tip].header.previous_hash
+    return out[::-1]
+
+
+def state_at(chain, bhash):
+    """The state after a stored block, applied block by block from genesis on
+    a new state: an oracle that shares no undo record or tip with `chain`."""
+    walk = _genesis_walk(chain.blocks, bhash)
+    state = genesis_state(chain.blocks[walk[0]])
+    for h in walk[1:]:
+        apply_block(state, chain.blocks[h])
+    return state
 
 
 # -- serialization ----------------------------------------------------------
@@ -211,7 +232,7 @@ def test_validate_block_rejects_bad_merkle():
                              block.header.timestamp, block.header.difficulty_target,
                              block.header.nonce, block.header.height)
     result = validate_block(Block(bad_header, block.transactions),
-                            chain.states[block.header.previous_hash])
+                            state_at(chain, block.header.previous_hash))
     assert not result.ok
 
 
@@ -274,7 +295,7 @@ def test_duplicate_transaction_never_enters_a_block():
     # the second copy is stale once the first applies; the detail names the txid check
     block = mined(chain, [up, up])
     assert [tx.txid for tx in block.transactions[1:]] == [up.txid]
-    parent = chain.states[block.header.previous_hash]
+    parent = state_at(chain, block.header.previous_hash)
     result = validate_block(_block_with(parent, [up, up]), parent)
     assert not result.ok and result.detail == "duplicate transaction"
     assert validate_block(_block_with(parent, [up]), parent).ok
@@ -357,7 +378,7 @@ def test_a_malformed_key_is_rejected_on_every_check():
 
 def test_longest_chain_wins_and_returns_orphaned_txs():
     chain = fresh_chain()
-    base = chain.state
+    base = state_at(chain, chain.tip_hash)
     # branch A: one block containing a registration
     tx = register_tx(base)
     block_a = mine_block([tx], base, ALICE.address)
@@ -370,7 +391,7 @@ def test_longest_chain_wins_and_returns_orphaned_txs():
         block_b1 = mine_block([], base, BOB.address, start_nonce=7_000_000)
     r1 = chain.add_block(block_b1)
     assert r1.accepted and chain.state.tip == block_a.header.hash  # first seen
-    state_b1 = chain.states[block_b1.header.hash]
+    state_b1 = state_at(chain, block_b1.header.hash)
     block_b2 = mine_block([], state_b1, BOB.address)
     r2 = chain.add_block(block_b2)
     assert r2.accepted
@@ -405,11 +426,86 @@ def test_reorg_logs_one_line(caplog):
         for block in (block_a, block_b1):
             assert chain.add_block(block, now=block.header.timestamp).accepted
         assert not caplog.records
-        block_b2 = _mined_at(chain.states[block_b1.header.hash], address=BOB.address)
+        block_b2 = _mined_at(state_at(chain, block_b1.header.hash), address=BOB.address)
         assert chain.add_block(block_b2, now=block_b2.header.timestamp).reorged
     assert [r.getMessage() for r in caplog.records] == [
         f"reorg depth=1 attached=2 returned_txs=1 old_tip={block_a.header.hash.hex()[:16]}"
         f" new_tip={block_b2.header.hash.hex()[:16]}"]
+
+
+def test_an_invalid_side_branch_block_is_rejected_on_arrival():
+    chain = fresh_chain()
+    genesis = state_at(chain, chain.tip_hash)
+    mined(chain, [register_tx(chain.state)])
+    up = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, chain.state, nonce=1)
+    mined(chain, [up])
+    # Valid on the tip's branch, but the side block's parent has no such name.
+    side = _block_with(genesis, [up])
+    digest, view = chain.state.digest(), chain.view
+    result = chain.add_block(side)
+    assert not result.accepted and result.code == "bad-tx(1)"
+    assert chain.state.digest() == digest and chain.view is view
+    assert side.header.hash not in chain.blocks and side.header.hash not in chain.headers
+    assert chain.add_block(_block_with(genesis, [])).accepted
+
+
+def test_a_side_block_failing_a_header_check_is_rejected_before_any_walk(monkeypatch):
+    chain = fresh_chain()
+    genesis = state_at(chain, chain.tip_hash)
+    for _ in range(3):
+        mined(chain)
+    side = _block_with(genesis, [])
+    while int.from_bytes(side.header.hash, "big") <= side.header.difficulty_target:
+        side = Block(replace(side.header, nonce=side.header.nonce + 1), side.transactions)
+    walked = []
+    monkeypatch.setattr(chain_module, "disconnect_block", lambda *args: walked.append(args))
+    result = chain.add_block(side)
+    assert not result.accepted and result.code == "bad-pow" and walked == []
+    assert side.header.hash not in chain.headers
+
+
+def test_a_reorg_restores_an_output_that_a_repeated_coinbase_overwrote():
+    chain = fresh_chain()
+    first = mined(chain)
+    coinbase = first.transactions[0]
+    # A later block repeats the first block's coinbase, whose output is unspent.
+    repeat = _block_with(chain.state, [])
+    header = replace(repeat.header, merkle_root=merkle_root([coinbase.txid]))
+    while int.from_bytes(header.hash, "big") > header.difficulty_target:
+        header = replace(header, nonce=header.nonce + 1)
+    repeat = Block(header, (coinbase,))
+    assert chain.add_block(repeat).accepted and chain.tip_hash == header.hash
+    undo = chain.undo[header.hash]
+    assert undo.replaced == {(coinbase.txid, 0): coinbase.outputs[0]}
+    assert BlockUndo.decode(undo.encode()) == undo
+    # A longer branch from the first block disconnects the repeat.
+    rival = _mined_at(state_at(chain, first.header.hash), address=BOB.address, spacing=20)
+    assert chain.add_block(rival, now=rival.header.timestamp).accepted
+    rival2 = _mined_at(state_at(chain, rival.header.hash), address=BOB.address)
+    assert chain.add_block(rival2, now=rival2.header.timestamp).reorged
+    assert chain.state.utxos[(coinbase.txid, 0)] == coinbase.outputs[0]
+    assert chain.state.digest() == state_at(chain, rival2.header.hash).digest()
+
+
+def test_the_view_changes_only_between_whole_blocks(monkeypatch):
+    chain = fresh_chain()
+    base = chain.state
+    block_a = _mined_at(base, [register_tx(base)])
+    block_b1 = _mined_at(base, address=BOB.address, spacing=20)
+    assert chain.add_block(block_a, now=block_a.header.timestamp).accepted
+    before, seen = chain.view, []
+    # A side block that only ties the tip is checked without moving it.
+    assert chain.add_block(block_b1, now=block_b1.header.timestamp).accepted
+    assert chain.view is before and set(chain.undo) == {block_a.header.hash}
+    block_b2 = _mined_at(state_at(chain, block_b1.header.hash), address=BOB.address)
+    for name in ("apply_block", "disconnect_block"):
+        real = getattr(chain_module, name)
+        monkeypatch.setattr(chain_module, name,
+                            lambda *args, real=real: seen.append(chain.view) or real(*args))
+    assert chain.add_block(block_b2, now=block_b2.header.timestamp).reorged
+    assert len(seen) == 3 and all(view is before for view in seen)
+    assert "DDNS/EXAMPLE" in before.assets and before.tip == block_a.header.hash
+    assert "DDNS/EXAMPLE" not in chain.view.assets and chain.view.tip == block_b2.header.hash
 
 
 def _root_path(parent, block):
@@ -442,14 +538,6 @@ def test_reorg_path_matches_a_walk_to_the_root():
     assert pairs > 300 and reorgs > 100
 
 
-def _genesis_walk(blocks, tip):
-    out = []
-    while tip in blocks:
-        out.append(tip)
-        tip = blocks[tip].header.previous_hash
-    return out[::-1]
-
-
 def _expected_add(blocks, old_tip, new_tip):
     """(tip, reorged, returned txids) by comparing whole branches from genesis."""
     if blocks[new_tip].header.height <= blocks[old_tip].header.height:
@@ -462,15 +550,20 @@ def _expected_add(blocks, old_tip, new_tip):
     return new_tip, bool(abandoned), returned
 
 
-def test_random_forks_match_a_walk_to_genesis():
+def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
     rng = random.Random(11)
     chain = fresh_chain()
+    # A node takes every block too; it snapshots every 4 blocks of height
+    # and is reopened from its snapshot now and then.
+    monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 4)
+    config = NodeConfig(data_dir=str(tmp_path))
+    node = LocalNode(config)
     keys = {kp.address: kp for kp in (ALICE, BOB)}
     pool = []  # every signed op so far; old ones are offered again on other branches
     seen = {"reorgs": 0, "returned": 0, "reconfirmed": 0}
 
     def add_on(parent_hash, step):
-        state = chain.states[parent_hash]
+        state = state_at(chain, parent_hash)
         fresh = []
         if rng.random() < 0.5:
             fresh.append(registry.register_domain(f"DDNS/N{step}", CID, rng.choice((ALICE, BOB)),
@@ -493,6 +586,15 @@ def test_random_forks_match_a_walk_to_genesis():
         assert chain.tip_hash == tip
         assert result.reorged == reorged
         assert [tx.txid for tx in result.returned_txs] == returned_ids
+        # The tip's undo record takes it back to its parent's state, and
+        # connecting it again restores the same digest.
+        digest, parent = chain.state.digest(), chain.headers[tip].previous_hash
+        assert chain._move(chain.state, parent) is None
+        assert chain.state.digest() == state_at(chain, parent).digest()
+        assert chain._move(chain.state, tip) is None
+        assert chain.state.digest() == digest
+        assert node.accept_block(block, now=block.header.timestamp).accepted
+        assert node.chain.tip_hash == tip
         if reorged:
             new_branch = set(_genesis_walk(chain.blocks, tip))
             abandoned_txs = sum(len(chain.blocks[h].transactions) - 1
@@ -517,6 +619,10 @@ def test_random_forks_match_a_walk_to_genesis():
             add_on(chain.blocks[chain.tip_hash].header.previous_hash, 100 * step)
         else:
             add_on(chain.tip_hash, 100 * step)
+        if step % 8 == 7:
+            node = LocalNode(config)
+            assert node.chain.blocks.raw  # opened from a snapshot
+            assert node.state.digest() == state_at(chain, chain.tip_hash).digest()
     # The sequence reorgs, hands txs back, and mines some txs on both sides of a fork.
     assert seen["reorgs"] >= 5 and seen["returned"] > 0 and seen["reconfirmed"] > 0, seen
     replayed = fresh_chain()

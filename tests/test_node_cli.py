@@ -297,6 +297,167 @@ def test_a_signed_op_derives_its_key_address_once_from_submit_to_block(tmp_path,
     assert address_calls == [ALICE.public_key]
 
 
+# -- undo records and snapshots ----------------------------------------------------
+
+def _snapshot_node(tmp_path, monkeypatch, blocks=4, interval=3):
+    """A node whose last snapshot is at height `interval`, with a registration
+    confirmed below it and the rest of `blocks` after it."""
+    monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", interval)
+    config = NodeConfig(data_dir=str(tmp_path / "node"))
+    node = LocalNode(config)
+    node.submit_transaction(registry.register_domain("DDNS/SNAP", CID, ALICE, node.state, nonce=1))
+    _mine_at(node, blocks)
+    assert json.loads((tmp_path / "node" / "chainstate.snap").read_text())["height"] == interval
+    return config, node
+
+
+def _full_replay(tmp_path, config):
+    """A node opened on a copy of `config`'s blocks.dat alone."""
+    other = tmp_path / "replay"
+    other.mkdir()
+    (other / "blocks.dat").write_bytes((tmp_path / "node" / "blocks.dat").read_bytes())
+    return LocalNode(NodeConfig(data_dir=str(other)))
+
+
+def test_a_snapshot_reopen_verifies_no_signature(tmp_path, monkeypatch, verify_calls):
+    config, node = _snapshot_node(tmp_path, monkeypatch, blocks=3)
+    assert verify_calls == [ALICE.public_key]
+    reopened = LocalNode(config)
+    assert verify_calls == [ALICE.public_key]
+    assert reopened.state.digest() == node.state.digest()
+    assert reopened.chain.blocks.raw  # indexed by header, never decoded
+    assert reopened.chain_view().assets["DDNS/SNAP"].ipfs_hash == CID
+    # Without the snapshot the same history is checked again.
+    assert _full_replay(tmp_path, config).state.digest() == node.state.digest()
+    assert verify_calls == [ALICE.public_key] * 2
+
+
+def test_a_reorg_after_a_snapshot_reopen_reaches_below_it(tmp_path, monkeypatch):
+    config, node = _snapshot_node(tmp_path, monkeypatch, blocks=4)
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    _mine_at(rival, 6, BOB.address)
+    reopened = LocalNode(config)  # the snapshot at 3 plus one replayed block
+    assert reopened.chain.height == 4 and len(reopened.chain.blocks.raw) == 3
+    now = rival.state.recent_headers[-1].timestamp
+    results = [reopened.accept_block(rival.chain.blocks[h], now=now)
+               for h in list(rival.chain.blocks)[1:]]
+    assert [(r.accepted, r.reorged) for r in results] == [(True, False)] * 4 + [(True, True),
+                                                                                (True, False)]
+    assert reopened.chain.tip_hash == rival.chain.tip_hash
+    assert reopened.state.digest() == rival.state.digest()
+    assert "DDNS/SNAP" not in reopened.chain_view().assets
+    assert [t.asset_op.asset_name for t in reopened.mempool] == ["DDNS/SNAP"]
+    assert LocalNode(config).state.digest() == rival.state.digest()
+
+
+def _broken_snapshot(path, how):
+    doc = json.loads(path.read_text())
+    if how == "torn":
+        path.write_text(path.read_text()[:40])
+    elif how == "corrupt":
+        doc["utxos"][0][2] += 1
+        path.write_text(json.dumps(doc))
+    elif how == "unknown-tip":
+        from ddns.chain import ChainState
+        state = ChainState.from_json(doc)
+        state.tip = b"\x07" * 32
+        path.write_text(json.dumps({**state.to_json(), "blocks_len": doc["blocks_len"],
+                                    "undo_len": doc["undo_len"]}))
+    elif how == "no-undo":
+        os.remove(path.parent / "undo.dat")
+
+
+@pytest.mark.parametrize("how", ["torn", "corrupt", "unknown-tip", "no-undo"])
+def test_a_bad_snapshot_falls_back_to_a_full_replay(tmp_path, monkeypatch, caplog, how):
+    config, node = _snapshot_node(tmp_path, monkeypatch, blocks=4)
+    snap = tmp_path / "node" / "chainstate.snap"
+    _broken_snapshot(snap, how)
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        reopened = LocalNode(config)
+    assert len(caplog.records) == 1 and "replaying" in caplog.records[0].getMessage()
+    assert not reopened.chain.blocks.raw
+    assert reopened.state.digest() == node.state.digest()
+    # The replay covered the interval, so it wrote a good snapshot again.
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        again = LocalNode(config)
+    assert not caplog.records and again.chain.blocks.raw
+    assert again.state.digest() == node.state.digest()
+
+
+def test_failed_renames_leave_no_temp_files(tmp_path, monkeypatch, caplog):
+    from ddns.cache import L2Cache
+    monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 1)
+    mined = tmp_path / "mined"
+    _mine_at(LocalNode(NodeConfig(data_dir=str(mined))), 1)
+    os.remove(mined / "chainstate.snap")  # the next open replays and writes one
+    l2 = L2Cache(str(tmp_path / "l2"))
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        l2.put(("tmp.ddns", 1, CID), {"rcode": 0}, 60)
+    # A snapshot is only a cache: the open and the next block go on without it.
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        node = LocalNode(NodeConfig(data_dir=str(mined)))
+        _mine_at(node, 1)
+    assert [r.getMessage().startswith("chainstate.snap not written") for r in caplog.records] \
+        == [True, True]
+    with pytest.raises(OSError):  # mempool.json
+        LocalNode(NodeConfig(data_dir=str(tmp_path / "empty")))
+    monkeypatch.undo()
+    leftovers = [name for _, _, files in os.walk(tmp_path) for name in files if ".tmp." in name]
+    assert leftovers == []
+    assert not (mined / "chainstate.snap").exists()
+    assert not (tmp_path / "empty" / "mempool.json").exists()
+    # The next open replays, writes undo.dat whole and a snapshot, and the
+    # one after loads it.
+    monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 1)
+    assert LocalNode(NodeConfig(data_dir=str(mined))).state.digest() == node.state.digest()
+    reopened = LocalNode(NodeConfig(data_dir=str(mined)))
+    assert reopened.chain.blocks.raw and reopened.state.digest() == node.state.digest()
+
+
+def test_a_torn_undo_append_is_written_whole_with_the_next_snapshot(tmp_path, monkeypatch,
+                                                                    caplog):
+    monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 1)
+    config = NodeConfig(data_dir=str(tmp_path / "node"))
+    node = LocalNode(config)
+    _mine_at(node, 1)
+
+    class TornFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    def torn_open(path, mode="r", *args):
+        fh = open(path, mode, *args)
+        return TornFile(fh) if str(path).endswith("undo.dat") else fh
+
+    monkeypatch.setattr(node_module, "open", torn_open, raising=False)
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        _mine_at(node, 1)
+    assert len(caplog.records) == 1
+    monkeypatch.delattr(node_module, "open")
+    _mine_at(node, 1)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        reopened = LocalNode(config)
+    assert not caplog.records and reopened.chain.blocks.raw
+    assert reopened.state.digest() == node.state.digest()
+
+
 # -- config ----------------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
