@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import logging
+import secrets
 import socket
 import threading
 import time
@@ -197,20 +198,19 @@ class Resolver:
             return Answer(REFUSED)
         with self._lock:
             self.stats["forwarded"] += 1
-        query = DnsMessage(id=int(time.time() * 1000) & 0xFFFF, rd=True,
-                           questions=(Question(qname, qtype),))
-        wire = encode_message(query)
         for _ in range(2):  # one retry
+            # An unpredictable ID, a socket connected to the upstream (the
+            # kernel drops datagrams from any other address) and a check of
+            # the echoed question make an off-path spoofed reply a guess.
+            query = DnsMessage(id=secrets.randbits(16), rd=True,
+                               questions=(Question(qname, qtype),))
             try:
                 with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-                    sock.settimeout(UPSTREAM_TIMEOUT)
-                    sock.sendto(wire, self.config.upstream)
-                    data, _ = sock.recvfrom(65535)
-                reply = decode_message(data)
-                if reply.id != query.id:
-                    continue
+                    sock.connect(self.config.upstream)
+                    sock.send(encode_message(query))
+                    reply = _await_reply(sock, query)
                 return Answer(reply.rcode, reply.answers)
-            except (OSError, DnsParseError):
+            except OSError:  # a timeout or an unreachable upstream
                 continue
         return Answer(SERVFAIL)
 
@@ -244,6 +244,22 @@ class Resolver:
             questions=(question,),
             answers=answer.records)
         return truncate_for_udp(response) if udp else encode_message(response)
+
+
+def _await_reply(sock: socket.socket, query: DnsMessage) -> DnsMessage:
+    """The first datagram on `sock`, within the upstream timeout, that answers
+    `query`: QR set, the same ID and the same question. Others are dropped."""
+    deadline = time.monotonic() + UPSTREAM_TIMEOUT
+    while (left := deadline - time.monotonic()) > 0:
+        sock.settimeout(left)
+        try:
+            reply = decode_message(sock.recv(65535))
+        except DnsParseError:
+            continue
+        echoed = tuple(Question(q.qname.lower(), q.qtype, q.qclass) for q in reply.questions)
+        if reply.qr and reply.id == query.id and echoed == query.questions:
+            return reply
+    raise socket.timeout("no matching reply from the upstream")
 
 
 # ---------------------------------------------------------------------------

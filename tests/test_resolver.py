@@ -14,7 +14,7 @@ import ddns.resolver
 from conftest import fixture_bytes, make_zone
 from ddns.resolver import MAX_CNAME_DEPTH, Resolver, ResolverConfig, serve_doh, serve_udp
 from ddns.wire import (FORMERR, NOERROR, NOTIMP, NXDOMAIN, REFUSED, SERVFAIL,
-                       DnsMessage, Question, build_query, decode_message,
+                       DnsMessage, Question, ResourceRecord, build_query, decode_message,
                        encode_message, qtype_code)
 
 A = qtype_code("A")
@@ -170,8 +170,8 @@ def test_nxdomain_and_negative_cache_is_l1_only(stack):
     assert r.stats["l1_hits"] == before["l1_hits"] + 1
     # nothing was written to the persistent tier
     import os
-    assert all(not f.endswith(".json") for f in os.listdir(r.caches.l2.directory)) \
-        or not os.listdir(r.caches.l2.directory)
+    assert not [f for _, _, files in os.walk(r.caches.l2.directory)
+                for f in files if f.endswith(".json")]
 
 
 def test_tampered_store_object_never_served(stack, alice):
@@ -317,6 +317,59 @@ def test_counters_stay_exact_under_concurrent_queries(stack, alice, tmp_path):
     assert r.stats["queries"] == 2 * rounds * workers
     assert r.stats["forwarded"] == rounds * workers
     assert r.stats["l1_hits"] == rounds * (workers - 1)
+
+
+GENUINE, FORGED = bytes([192, 0, 2, 1]), bytes([203, 0, 113, 66])
+
+
+def _reply_to(query, rdata, **changes):
+    fields = dict(id=query.id, qr=True, rd=True, ra=True, questions=query.questions,
+                  answers=(ResourceRecord(query.questions[0].qname, A, 1, 60, rdata),))
+    fields.update(changes)
+    return encode_message(DnsMessage(**fields))
+
+
+@pytest.mark.parametrize("decoy", ["wrong-id", "other-question", "not-a-response",
+                                   "third-socket"])
+def test_forwarding_takes_only_the_upstreams_reply_to_its_question(tmp_path, monkeypatch,
+                                                                    decoy):
+    monkeypatch.setattr(ddns.resolver.secrets, "randbits", lambda bits: 0xBEEF)
+    upstream = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    spoofer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    upstream.bind(("127.0.0.1", 0))
+    upstream.settimeout(5)
+    queries = []
+
+    def serve():
+        data, peer = upstream.recvfrom(65535)
+        query = decode_message(data)
+        queries.append(query)
+        if decoy == "wrong-id":
+            upstream.sendto(_reply_to(query, FORGED, id=query.id ^ 1), peer)
+        elif decoy == "other-question":
+            upstream.sendto(_reply_to(query, FORGED, questions=(Question("other.com", A),)),
+                            peer)
+        elif decoy == "not-a-response":
+            upstream.sendto(_reply_to(query, FORGED, qr=False), peer)
+        else:
+            spoofer.sendto(_reply_to(query, FORGED), peer)
+        time.sleep(0.05)  # the decoy arrives first
+        upstream.sendto(_reply_to(query, GENUINE), peer)
+
+    config = ResolverConfig(managed_tlds=("ddns",), upstream=upstream.getsockname(),
+                            cache_dir=str(tmp_path / "c"))
+    r = Resolver(config, lambda: None, None)
+    worker = threading.Thread(target=serve)
+    try:
+        worker.start()
+        answer = r.resolve("Example.COM", A)
+        worker.join(timeout=5)
+    finally:
+        upstream.close()
+        spoofer.close()
+    assert not worker.is_alive()
+    assert [q.id for q in queries] == [0xBEEF]  # one try: the decoy did not end it
+    assert answer.rcode == NOERROR and [rr.rdata for rr in answer.records] == [GENUINE]
 
 
 def test_failed_l2_write_still_answers(stack, alice, caplog, monkeypatch):
