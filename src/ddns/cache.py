@@ -1,48 +1,40 @@
-"""Two-tier resolver cache.
+"""Two-tier in-memory resolver cache.
 
-L1: in-memory LRU, 50,000 entries, fixed 15 s TTL, with an index of its keys
-    by domain.
-L2: file-backed (one JSON file per key), survives restart, TTL = record TTL.
-    An entry is `<domain hash>/<key hash>.json`, where the domain hash is the
-    first 16 hex digits of the SHA-256 of the key name's domain, so a
-    domain's entries are found by listing one directory, without opening any.
+L1: LRU of each name's own answer, 50,000 entries, fixed 15 s TTL, with an
+    index of its keys by domain.
+L2: each domain's parsed control file, held under the content id it was read
+    under, for at most `L2_CAPACITY` domains. A file is served only under the
+    content id the chain names now, so L2 is never stale and needs no TTL.
 
-Invalidating a domain costs time in proportion to that domain's entries in
-each tier, not to the size of the cache; a bare TLD drops every domain under
-it from L1 and all of L2, whose directory names hide the TLD.
-
-A name's binding to its content id is read from the chain, not cached, so
-L2 keys that carry the content id never serve an old binding and L1 is the
-only tier that can be stale. A hit at L1 never consults L2. The clock is
-injectable so expiry is testable without sleeping.
+Invalidating a name drops its domain from both tiers, in time proportional to
+that domain's entries, not to the size of the cache; a bare TLD drops every
+domain under it. L1 is the only tier that can be stale, and a hit at L1 never
+consults L2. The clock is injectable so expiry is testable without sleeping.
 """
 
 from __future__ import annotations
 
 import collections
-import hashlib
-import json
-import logging
-import os
-import re
 import time
-
-from .fileio import write_atomic
-
-log = logging.getLogger(__name__)
 
 L1_CAPACITY = 50_000
 L1_TTL = 15
-
-# L2 entries of the flat layouts that came before domain directories,
-# `[<domain hash>-]<key hash>.json`, and their temp files.
-_FLAT_ENTRY = re.compile(r"([0-9a-f]{16}-)?[0-9a-f]{64}\.json(\.tmp\.\d+)?")
+L2_CAPACITY = 4_096
 
 
 def domain_of(name: str) -> str:
     """A name's domain: its last two labels, in lower case, without a root
     dot. A bare TLD is its own domain."""
     return ".".join(name.lower().rstrip(".").split(".")[-2:])
+
+
+def _domains_in_scope(domains, name: str) -> list:
+    """The domains that invalidating `name` drops: its own domain, or, for a
+    bare TLD, every one of `domains` under it."""
+    scope = domain_of(name)
+    if "." in scope:
+        return [scope]
+    return [d for d in domains if d == scope or d.endswith("." + scope)]
 
 
 class L1Cache:
@@ -90,12 +82,7 @@ class L1Cache:
     def invalidate(self, name: str):
         """Drop every key under `name`'s domain; a bare TLD drops every
         domain under it."""
-        scope = domain_of(name)
-        if "." in scope:
-            domains = [scope]
-        else:
-            domains = [d for d in self._by_domain if d == scope or d.endswith("." + scope)]
-        for domain in domains:
+        for domain in _domains_in_scope(self._by_domain, name):
             for key in self._by_domain.pop(domain, ()):
                 del self._entries[key]
 
@@ -105,85 +92,39 @@ class L1Cache:
 
 
 class L2Cache:
-    """Persistent per-key files; corrupt entries are dropped, never served.
+    """Domain -> (content id, parsed control file); the oldest put is
+    dropped first once `L2_CAPACITY` domains are held."""
 
-    Opening the cache deletes entries left in its root by the flat layouts,
-    which nothing reads or invalidates any more.
-    """
+    def __init__(self):
+        self._entries: dict[str, tuple] = {}
 
-    def __init__(self, directory: str, clock=time.time):
-        self.directory = directory
-        self.clock = clock
-        os.makedirs(directory, exist_ok=True)
-        with os.scandir(directory) as entries:
-            for entry in entries:
-                if _FLAT_ENTRY.fullmatch(entry.name) and entry.is_file(follow_symlinks=False):
-                    os.remove(entry.path)
+    def __len__(self):
+        return len(self._entries)
 
-    def _domain_dir(self, name: str) -> str:
-        digest = hashlib.sha256(domain_of(name).encode()).hexdigest()[:16]
-        return os.path.join(self.directory, digest)
-
-    def _path(self, key) -> str:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return os.path.join(self._domain_dir(key[0]), digest + ".json")
-
-    def get(self, key):
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if doc["key"] != list(key) and doc["key"] != key:
-                raise ValueError("key mismatch")
-            if self.clock() - doc["inserted_at"] > doc["ttl"]:
-                os.remove(path)
-                return None
-            return doc["value"]
-        except FileNotFoundError:
+    def get(self, domain: str, content_id: str):
+        """The domain's control file if it was read under `content_id`."""
+        entry = self._entries.get(domain)
+        if entry is None or entry[0] != content_id:
             return None
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            log.warning("dropping corrupt L2 entry %s: %s", path, exc)
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            return None
+        return entry[1]
 
-    def put(self, key, value, ttl: int):
-        path = self._path(key)
-        doc = json.dumps({"key": list(key), "inserted_at": self.clock(), "ttl": ttl,
-                          "value": value})
-        try:
-            write_atomic(path, doc)
-        except FileNotFoundError:  # a new domain, or a removed directory
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_atomic(path, doc)
+    def put(self, domain: str, content_id: str, control_file):
+        self._entries.pop(domain, None)
+        if len(self._entries) >= L2_CAPACITY:
+            del self._entries[next(iter(self._entries))]
+        self._entries[domain] = (content_id, control_file)
 
     def invalidate(self, name: str):
-        """Delete every entry under `name`'s domain, keeping its directory for
-        the next put, without opening a file; a bare TLD deletes them all."""
-        scope = domain_of(name)
-        if "." in scope:
-            dirs = [self._domain_dir(scope)]
-        else:
-            try:
-                with os.scandir(self.directory) as entries:
-                    dirs = [e.path for e in entries if e.is_dir(follow_symlinks=False)]
-            except FileNotFoundError:  # a removed directory holds nothing
-                return
-        for directory in dirs:
-            try:
-                fnames = os.listdir(directory)
-            except FileNotFoundError:
-                continue
-            for fname in fnames:
-                os.remove(os.path.join(directory, fname))
+        """Drop `name`'s domain; a bare TLD drops every domain under it."""
+        for domain in _domains_in_scope(self._entries, name):
+            self._entries.pop(domain, None)
 
 
 class CacheHierarchy:
-    def __init__(self, l2_dir: str, clock=time.monotonic, wall_clock=time.time):
+    # `l2_dir` is unread; kept while benchmark/ledger.py passes a directory.
+    def __init__(self, l2_dir=None, clock=time.monotonic):
         self.l1 = L1Cache(clock=clock)
-        self.l2 = L2Cache(l2_dir, clock=wall_clock)
+        self.l2 = L2Cache()
 
     def invalidate(self, qname: str):
         """Drop every entry under a name's domain from both tiers (used on

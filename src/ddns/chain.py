@@ -17,6 +17,7 @@ slots zeroed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import struct
@@ -509,22 +510,21 @@ class ChainState:
                           self.recent_headers)
 
     def digest(self) -> bytes:
-        w = Writer()
-        for (txid, idx) in sorted(self.utxos):
-            out = self.utxos[(txid, idx)]
-            w.raw(txid)
-            w.u32(idx)
-            w.u64(out.value)
-            w.var(out.recipient.encode())
+        """sha256d of the sorted UTXO rows, the sorted asset rows, the tip and
+        the height, fed to the hash row by row rather than joined first."""
+        h = hashlib.sha256()
+        for key in sorted(self.utxos):
+            out = self.utxos[key]
+            recipient = out.recipient.encode()
+            h.update(key[0] + struct.pack("<IQI", key[1], out.value, len(recipient)) + recipient)
         for name in sorted(self.assets):
             asset = self.assets[name]
-            w.var(name.encode())
-            w.var(asset.owner_address.encode())
-            w.var((asset.ipfs_hash or "").encode())
-            w.u64(asset.revision)
-        w.raw(self.tip)
-        w.u64(self.height)
-        return sha256d(w.getvalue())
+            for text in (name, asset.owner_address, asset.ipfs_hash or ""):
+                raw = text.encode()
+                h.update(struct.pack("<I", len(raw)) + raw)
+            h.update(struct.pack("<Q", asset.revision))
+        h.update(self.tip + struct.pack("<Q", self.height))
+        return hashlib.sha256(h.digest()).digest()
 
     def to_json(self) -> dict:
         """Tip, height, digest and both maps as JSON values: a snapshot's body."""

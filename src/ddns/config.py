@@ -6,12 +6,15 @@ Errors are aggregated so the operator sees every problem at once.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, fields
 
 from .chain import DEFAULT_GENESIS_TARGET, GENESIS_TIMESTAMP
 from .errors import ConfigError
 from .resolver import ResolverConfig
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,7 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> NodeConfig:
                 else:
                     kwargs[field_name] = rdoc[field_name]
         if "cache_dir" in rdoc:
-            kwargs["cache_dir"] = resolve_path(str(rdoc["cache_dir"]))
-        else:
-            kwargs["cache_dir"] = os.path.join(data_dir, "resolver-cache")
+            log.warning("resolver.cache_dir is ignored: the resolver caches in memory only")
         resolver = ResolverConfig(**kwargs)
 
     mining_address = doc.get("mining_address")

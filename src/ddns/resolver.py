@@ -1,18 +1,19 @@
 """DDNSD: the resolution core plus UDP and DNS-over-HTTPS front ends.
 
 Resolution path for a managed name: L1 -> chain lookup of the domain's
-content id -> L2 -> content store fetch -> integrity check -> record query
--> respond and populate caches. Each cache entry holds only a name's own
-records, from its own domain's control file, so it depends on exactly one
-content id; `Resolver.resolve` follows CNAMEs itself, one cached name at a
-time. After a confirmed update, a name is served stale for at most the L1
-TTL (15 s): every L1 miss reads the binding from the chain, and L2 keys
-carry the content id, so only an L1 entry can hold an old answer. Once
-`notice_update` names any name under the domain, nothing stale is served
-for that domain. Non-managed TLDs are forwarded upstream over UDP, outside
-the resolver lock, or answered REFUSED when no upstream is configured. A
-store payload whose hash mismatches its on-chain content id is answered
-SERVFAIL and never cached.
+content id -> L2 (the domain's parsed control file, under that content id)
+-> content store fetch, integrity check and parse -> record query ->
+respond and populate caches. Each L1 entry holds only a name's own records,
+from its own domain's control file, so it depends on exactly one content id;
+`Resolver.resolve` follows CNAMEs itself, one cached name at a time. After a
+confirmed update, a name is served stale for at most the L1 TTL (15 s):
+every L1 miss reads the binding from the chain, and L2 serves a file only
+under the content id just read, so only an L1 entry can hold an old answer.
+Once `notice_update` names any name under the domain, nothing stale is
+served for that domain. Non-managed TLDs are forwarded upstream over UDP,
+outside the resolver lock, or answered REFUSED when no upstream is
+configured. A store payload whose hash mismatches its on-chain content id,
+or that does not parse, is answered SERVFAIL and never cached.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import registry
-from .cache import CacheHierarchy
+from .cache import CacheHierarchy, domain_of
 from .controlfile import parse_control_file, query_records
 from .errors import CorruptionError, DnsParseError, NotFoundError, StoreUnavailableError
 from .wire import (CLASS_IN, DnsMessage, FORMERR, NOERROR, NOTIMP, NXDOMAIN,
-                   REFUSED, SERVFAIL, Question, ResourceRecord, TYPE_CODES, TYPE_NAMES,
+                   REFUSED, SERVFAIL, Question, TYPE_CODES, TYPE_NAMES,
                    decode_message, decode_name, encode_message, record_to_rr,
                    truncate_for_udp)
 
@@ -41,7 +42,6 @@ log = logging.getLogger(__name__)
 MAX_CNAME_DEPTH = 8
 TYPE_CNAME = TYPE_CODES["CNAME"]
 UPSTREAM_TIMEOUT = 2.0
-NEGATIVE_TTL = 15
 
 
 @dataclass(frozen=True)
@@ -52,27 +52,13 @@ class ResolverConfig:
     udp_port: int = 5353
     doh_host: str = "127.0.0.1"
     doh_port: int = 8053
-    cache_dir: str = "resolver-cache"
+    cache_dir: str | None = None           # unread; kept while benchmark/ledger.py passes it
 
 
 @dataclass(frozen=True)
 class Answer:
     rcode: int
     records: tuple = ()
-
-
-def _answer_to_cache(answer: Answer) -> dict:
-    return {
-        "rcode": answer.rcode,
-        "records": [[r.name, r.rtype, r.rclass, r.ttl, r.rdata.hex()]
-                    for r in answer.records],
-    }
-
-
-def _answer_from_cache(doc: dict) -> Answer:
-    return Answer(doc["rcode"],
-                  tuple(ResourceRecord(n, t, c, ttl, bytes.fromhex(rd))
-                        for n, t, c, ttl, rd in doc["records"]))
 
 
 class Resolver:
@@ -83,7 +69,7 @@ class Resolver:
         self.config = config
         self.chain_view = chain_view
         self.store = store
-        self.caches = caches or CacheHierarchy(config.cache_dir)
+        self.caches = caches or CacheHierarchy()
         self.stats = {"queries": 0, "l1_hits": 0, "l2_hits": 0, "chain_reads": 0,
                       "store_reads": 0, "forwarded": 0}
         self._lock = threading.Lock()
@@ -137,25 +123,19 @@ class Resolver:
             self.caches.l1.put(l1_key, answer)
             return answer
         domain, label, content_id = binding
-        # Keying L2 by the content id just read from the chain bounds
-        # staleness after a confirmed update by the L1 TTL, though L2
-        # entries live as long as the record TTL.
-        l2_key = (qname, qtype, content_id)
-        cached = self.caches.l2.get(l2_key)
-        if cached is not None:
+        cf = self.caches.l2.get(domain, content_id)
+        if cf is not None:
             self.stats["l2_hits"] += 1
-            answer = _answer_from_cache(cached)
-            self.caches.l1.put(l1_key, answer)
-            return answer
-        answer = self._resolve_content(qname, qtype, domain, label, content_id)
-        if answer.rcode == NOERROR:
-            ttl = min((r.ttl for r in answer.records), default=NEGATIVE_TTL)
-            try:
-                self.caches.l2.put(l2_key, _answer_to_cache(answer), ttl)
-            except OSError as exc:
-                log.warning("not caching %s: L2 write failed: %s", qname, exc)
-                return answer
-            self.caches.l1.put(l1_key, answer)
+        else:
+            cf = self._control_file(qname, domain, content_id)
+            if cf is None:
+                return Answer(SERVFAIL)
+            self.caches.l2.put(domain, content_id, cf)
+        rtype_name = TYPE_NAMES.get(qtype)
+        entries = query_records(cf, label, rtype_name) if rtype_name else ()
+        answer = Answer(NOERROR, tuple(record_to_rr(qname, entry.rtype, entry, cf.domain)
+                                       for entry in entries))
+        self.caches.l1.put(l1_key, answer)
         return answer
 
     def _binding(self, qname: str):
@@ -163,7 +143,7 @@ class Resolver:
         labels = qname.split(".")
         if len(labels) < 2:
             return None
-        domain = ".".join(labels[-2:])
+        domain = domain_of(qname)
         self.stats["chain_reads"] += 1
         try:
             asset = registry.lookup_domain(self.chain_view(), domain)
@@ -173,25 +153,20 @@ class Resolver:
             return None
         return domain, ".".join(labels[:-2]) or "@", asset.ipfs_hash
 
-    def _resolve_content(self, qname: str, qtype: int,
-                         domain: str, label: str, content_id: str) -> Answer:
+    def _control_file(self, qname: str, domain: str, content_id: str):
+        """The domain's control file from the store, verified and parsed, or
+        None (logged) when the store or the parse fails."""
         try:
             self.stats["store_reads"] += 1
             payload = self.store.get(content_id)
         except (NotFoundError, CorruptionError, StoreUnavailableError) as exc:
             log.warning("store failure for %s (%s): %s", qname, content_id, exc)
-            return Answer(SERVFAIL)
+            return None
         try:
-            cf = parse_control_file(payload)
+            return parse_control_file(payload)
         except Exception as exc:
             log.warning("unparseable control file for %s: %s", domain, exc)
-            return Answer(SERVFAIL)
-        rtype_name = TYPE_NAMES.get(qtype)
-        if rtype_name is None:
-            return Answer(NOERROR)
-        entries = query_records(cf, label, rtype_name)
-        return Answer(NOERROR, tuple(record_to_rr(qname, entry.rtype, entry, cf.domain)
-                                     for entry in entries))
+            return None
 
     def _forward(self, qname: str, qtype: int) -> Answer:
         if self.config.upstream is None:

@@ -93,7 +93,7 @@ class Stack:
     def __init__(self, base_dir, clock):
         self.clock = clock
         self.node = LocalNode(NodeConfig(data_dir=os.path.join(base_dir, "node")))
-        self.caches = CacheHierarchy(os.path.join(base_dir, "cache"), clock=clock)
+        self.caches = CacheHierarchy(clock=clock)
         self.resolver = Resolver(self.node.config.resolver, self.node.chain_view,
                                  self.node.store, self.caches)
 

@@ -1,20 +1,9 @@
 import collections
-import json
-import logging
-import os
-import shutil
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import ddns.cache
 from ddns.cache import CacheHierarchy, L1Cache, L2Cache, domain_of
-
-
-def _files_under(root):
-    """Every file below `root`, as sorted paths relative to it."""
-    return sorted(os.path.relpath(os.path.join(d, f), root)
-                  for d, _, files in os.walk(root) for f in files)
 
 
 class FakeClock:
@@ -53,128 +42,81 @@ def test_l1_entry_expires_after_ttl():
     assert cache.get("k") is None
 
 
-def test_l2_survives_restart(tmp_path):
-    first = L2Cache(str(tmp_path))
-    first.put(("example.ddns", 1), {"rcode": 0}, ttl=3600)
-    second = L2Cache(str(tmp_path))
-    assert second.get(("example.ddns", 1)) == {"rcode": 0}
-
-
-def test_l2_entry_expires_by_record_ttl(tmp_path):
-    clock = FakeClock()
-    cache = L2Cache(str(tmp_path), clock=clock)
-    cache.put("k", "v", ttl=300)
-    clock.t = 300
-    assert cache.get("k") == "v"
-    clock.t = 301
-    assert cache.get("k") is None
-
-
-def test_l2_corrupt_entry_dropped_and_logged(tmp_path, caplog):
-    cache = L2Cache(str(tmp_path))
-    cache.put("k", "v", ttl=60)
-    (path,) = (os.path.join(str(tmp_path), f) for f in _files_under(str(tmp_path)))
-    with open(path, "w") as fh:
-        fh.write("{broken json")
-    with caplog.at_level(logging.WARNING):
-        assert cache.get("k") is None
-    assert "corrupt" in caplog.text
-    assert not os.path.exists(path)
-
-
-def test_hierarchy_invalidate_hits_all_tiers(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
+def test_hierarchy_invalidate_hits_all_tiers():
+    caches = CacheHierarchy()
     caches.l1.put(("example.ddns", 1), "a")
     caches.l1.put(("www.example.ddns", 1), "a")
     caches.l1.put(("other.ddns", 1), "keep")
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
+    caches.l2.put("example.ddns", "Qm1", "a")
     caches.invalidate("example.ddns")
     assert caches.l1.get(("example.ddns", 1)) is None
     assert caches.l1.get(("www.example.ddns", 1)) is None  # subdomains too
     assert caches.l1.get(("other.ddns", 1)) == "keep"
-    assert caches.l2.get(("example.ddns", 1, "Qm1")) is None
+    assert caches.l2.get("example.ddns", "Qm1") is None
 
 
-def test_invalidate_after_the_l2_directory_is_removed(tmp_path):
-    caches = CacheHierarchy(str(tmp_path / "l2"))
-    caches.l1.put(("example.ddns", 1), "a")
-    (tmp_path / "l2").rmdir()
+def test_l2_serves_a_file_only_under_its_content_id():
+    l2 = L2Cache()
+    l2.put("example.ddns", "Qm1", "a")
+    assert l2.get("example.ddns", "Qm1") == "a"
+    assert l2.get("example.ddns", "Qm2") is None
+    assert l2.get("other.ddns", "Qm1") is None
+    l2.put("example.ddns", "Qm2", "b")  # replaces the domain's entry
+    assert len(l2) == 1
+    assert l2.get("example.ddns", "Qm1") is None and l2.get("example.ddns", "Qm2") == "b"
+
+
+def test_l2_drops_the_oldest_domain_at_capacity(monkeypatch):
+    monkeypatch.setattr(ddns.cache, "L2_CAPACITY", 3)
+    l2 = L2Cache()
+    for domain in ("a.ddns", "b.ddns", "c.ddns"):
+        l2.put(domain, "Qm1", domain)
+    l2.put("a.ddns", "Qm2", "a2")  # a new put makes a domain the newest
+    l2.put("d.ddns", "Qm1", "d")
+    assert len(l2) == 3
+    assert l2.get("b.ddns", "Qm1") is None
+    assert [l2.get(d, cid) for d, cid in (("c.ddns", "Qm1"), ("a.ddns", "Qm2"), ("d.ddns", "Qm1"))] \
+        == ["c.ddns", "a2", "d"]
+
+
+def test_invalidate_keeps_other_domains():
+    caches = CacheHierarchy()
+    caches.l2.put("other.ddns", "Qm2", "c")
+    caches.l2.put("example.ddns", "Qm1", "a")
     caches.invalidate("example.ddns")
-    assert caches.l1.get(("example.ddns", 1)) is None
+    assert len(caches.l2) == 1
+    assert caches.l2.get("other.ddns", "Qm2") == "c"
 
 
-def _l2_files(caches):
-    return _files_under(caches.l2.directory)
-
-
-def test_l2_files_are_json_in_one_directory_per_domain(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
-    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
-    files = _l2_files(caches)
-    assert len(files) == 3 and all(f.endswith(".json") for f in files)
-    assert all(os.path.isfile(os.path.join(str(tmp_path), f)) for f in files)
-    domains = {os.path.dirname(f) for f in files}
-    assert len(domains) == 2  # one directory per domain
-    assert all(len(d) == 16 and set(d) <= set("0123456789abcdef") for d in domains)
-
-
-def test_invalidate_drops_a_corrupt_file_and_keeps_other_domains(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
-    caches.l2.put(("www.other.ddns", 1, "Qm2"), "d", ttl=3600)
-    kept = _l2_files(caches)
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
-    www = caches.l2._path(("www.example.ddns", 1, "Qm1"))
-    with open(www, "w") as fh:
-        fh.write("{broken json")
-    caches.invalidate("example.ddns")
-    assert not os.path.exists(www)
-    assert _l2_files(caches) == kept and len(kept) == 2
-    assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"
-    assert caches.l2.get(("www.other.ddns", 1, "Qm2")) == "d"
-
-
-def test_invalidate_opens_no_file(tmp_path, monkeypatch):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
-    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
-
-    def no_open(*args, **kwargs):
-        raise AssertionError("invalidate opened a file")
-
-    monkeypatch.setattr(ddns.cache, "open", no_open, raising=False)
-    caches.invalidate("example.ddns")
-    monkeypatch.undo()
-    assert caches.l2.get(("www.example.ddns", 1, "Qm1")) is None
-    assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"
-
-
-def test_invalidate_a_tld_drops_all_of_l2(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    caches.l2.put(("other.phi", 1, "Qm2"), "b", ttl=3600)
+def test_invalidate_a_tld_drops_all_of_l2():
+    caches = CacheHierarchy()
+    caches.l2.put("example.ddns", "Qm1", "a")
+    caches.l2.put("other.ddns", "Qm2", "b")
+    caches.l2.put("other.phi", "Qm3", "c")
     caches.l1.put(("www.example.ddns", 1), "a")
     caches.l1.put(("other.phi", 1), "keep")
+    caches.invalidate("phi")
+    assert caches.l2.get("other.phi", "Qm3") is None
+    assert caches.l2.get("example.ddns", "Qm1") == "a"  # .ddns domains are kept
+    assert caches.l2.get("other.ddns", "Qm2") == "b"
+    caches.l1.put(("other.phi", 1), "keep")
     caches.invalidate("ddns")
-    assert _l2_files(caches) == []
+    assert len(caches.l2) == 0
     assert caches.l1.get(("www.example.ddns", 1)) is None  # L1 drops the whole TLD too
     assert caches.l1.get(("other.phi", 1)) == "keep"
 
 
-def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
-    caches.l2.put(("other.ddns", 1, "Qm2"), "c", ttl=3600)
+def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2():
+    caches = CacheHierarchy()
+    caches.l2.put("example.ddns", "Qm1", "a")
+    caches.l2.put("other.ddns", "Qm2", "c")
+    caches.l2.put("notexample.ddns", "Qm3", "d")
     for name in ("example.ddns", "a.b.example.ddns", "other.ddns", "notexample.ddns"):
         caches.l1.put((name, 1), name)
     caches.invalidate("WWW.Example.ddns.")
-    assert caches.l2.get(("www.example.ddns", 1, "Qm1")) is None
-    assert caches.l2.get(("example.ddns", 1, "Qm1")) is None  # a superset
-    assert caches.l2.get(("other.ddns", 1, "Qm2")) == "c"
+    assert caches.l2.get("example.ddns", "Qm1") is None
+    assert caches.l2.get("other.ddns", "Qm2") == "c"
+    assert caches.l2.get("notexample.ddns", "Qm3") == "d"
     # L1 drops the same scope: the apex and every name under it
     assert caches.l1.get(("example.ddns", 1)) is None
     assert caches.l1.get(("a.b.example.ddns", 1)) is None
@@ -182,57 +124,10 @@ def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2(tmp_path):
     assert caches.l1.get(("notexample.ddns", 1)) == "notexample.ddns"
 
 
-def test_opening_the_cache_deletes_flat_layout_files_and_keeps_domains(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    flat = ["0123456789abcdef-" + "a" * 64 + ".json", "b" * 64 + ".json",
-            "0123456789abcdef-" + "c" * 64 + ".json.tmp.4242"]
-    for name in flat + ["notes.txt"]:
-        (tmp_path / name).write_text("{}")
-    reopened = CacheHierarchy(str(tmp_path))
-    assert sorted(os.listdir(str(tmp_path))) == sorted(
-        [os.path.basename(reopened.l2._domain_dir("example.ddns")), "notes.txt"])
-    assert reopened.l2.get(("example.ddns", 1, "Qm1")) == "a"
-
-
-def test_a_removed_domain_directory_is_recreated(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    caches.l2.put(("example.ddns", 1, "Qm1"), "a", ttl=3600)
-    shutil.rmtree(caches.l2._domain_dir("example.ddns"))
-    caches.l2.put(("www.example.ddns", 1, "Qm1"), "b", ttl=3600)
-    assert caches.l2.get(("www.example.ddns", 1, "Qm1")) == "b"
-
-
-def _invalidate_recording(caches, name):
-    """Invalidate `name`, returning the paths listed and the paths removed."""
-    listed, removed = [], []
-    with pytest.MonkeyPatch.context() as mp:  # `ddns.cache.os` is the `os` module
-        for fn, calls in (("listdir", listed), ("scandir", listed), ("remove", removed),
-                          ("unlink", removed)):
-            def recorded(path=".", *args, _real=getattr(os, fn), _calls=calls, **kwargs):
-                _calls.append(os.fspath(path))
-                return _real(path, *args, **kwargs)
-            mp.setattr(ddns.cache.os, fn, recorded)
-        caches.invalidate(name)
-    return listed, removed
-
-
-def test_invalidate_lists_only_the_named_domains_directory(tmp_path):
-    caches = CacheHierarchy(str(tmp_path))
-    for name in ("example.ddns", "www.example.ddns", "other.ddns", "www.other.ddns", "x.phi"):
-        caches.l2.put((name, 1, "Qm1"), name, ttl=3600)
-    example_dir = caches.l2._domain_dir("example.ddns")
-    others = [f for f in _l2_files(caches) if os.path.dirname(f) != os.path.basename(example_dir)]
-    listed, removed = _invalidate_recording(caches, "WWW.Example.ddns.")
-    assert listed == [example_dir]
-    assert len(removed) == 2 and {os.path.dirname(p) for p in removed} == {example_dir}
-    assert _l2_files(caches) == others
-    for name in ("example.ddns", "www.other.ddns", "x.phi", "a.b.c.phi."):
-        listed, _ = _invalidate_recording(caches, name)
-        assert listed == [caches.l2._domain_dir(name)]  # never the root
-    listed, _ = _invalidate_recording(caches, "ddns")
-    assert listed[0] == str(tmp_path)
-    assert _l2_files(caches) == []
+def in_scope(name, qname):
+    """Whether invalidating `qname` drops `name`: the scope predicate."""
+    scope = ".".join(qname.lower().rstrip(".").split(".")[-2:])
+    return name == scope or name.endswith("." + scope)
 
 
 class PredicateL1:
@@ -261,9 +156,7 @@ class PredicateL1:
         self.entries[key] = (value, self.clock())
 
     def invalidate(self, qname):
-        scope = ".".join(qname.lower().rstrip(".").split(".")[-2:])
-        for key in [k for k in self.entries
-                    if k[0] == scope or k[0].endswith("." + scope)]:
+        for key in [k for k in self.entries if in_scope(k[0], qname)]:
             del self.entries[key]
 
 
@@ -283,14 +176,25 @@ STEPS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(STEPS)
 def test_l1_index_matches_a_predicate_scan(steps):
+    """L1 against `PredicateL1`, and L2, keyed by each name's domain with the
+    key's type as its content id, against a dict scanned with the same
+    predicate."""
     clock = FakeClock()
     cache, model = L1Cache(capacity=3, ttl=15, clock=clock), PredicateL1(3, 15, clock)
+    l2, l2_model = L2Cache(), {}
     for n, step in enumerate(steps):
         if step[0] == "put":
             cache.put(step[1], n)
             model.put(step[1], n)
+            domain = domain_of(step[1][0])
+            l2.put(domain, step[1][1], n)
+            l2_model.pop(domain, None)
+            l2_model[domain] = (step[1][1], n)
         elif step[0] == "get":
             assert cache.get(step[1]) == model.get(step[1])
+            cid, value = l2_model.get(domain_of(step[1][0]), (None, None))
+            assert l2.get(domain_of(step[1][0]), step[1][1]) == (
+                value if cid == step[1][1] else None)
         elif step[0] == "tick":
             clock.t += step[1]
         elif step[0] == "clear":
@@ -299,7 +203,11 @@ def test_l1_index_matches_a_predicate_scan(steps):
         else:
             cache.invalidate(step[1])
             model.invalidate(step[1])
+            l2.invalidate(step[1])
+            for domain in [d for d in l2_model if in_scope(d, step[1])]:
+                del l2_model[domain]
         assert list(cache._entries.items()) == list(model.entries.items())
+        assert list(l2._entries.items()) == list(l2_model.items())
         indexed = [(domain, key) for domain, keys in cache._by_domain.items() for key in keys]
         assert all(cache._by_domain.values())  # no empty group is kept
         assert sorted(indexed) == sorted((domain_of(key[0]), key) for key in cache._entries)

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
                         DIFFICULTY_CLAMP, MAX_TARGET, REGISTRATION_FEE,
                         TARGET_BLOCK_TIME, AssetOperation, Block, BlockHeader, BlockUndo,
-                        Chain, Transaction, TxInput,
+                        Chain, ChainState, Transaction, TxInput, TxOutput, Writer,
                         adjust_difficulty, apply_block,
                         genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
                         select_transactions, sign_transaction, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
 from ddns.config import NodeConfig
+from ddns.encoding import sha256d
 from ddns.errors import InvalidKeyError, SerializationError
 from ddns.keys import generate_keypair
 from ddns.node import LocalNode
@@ -648,3 +649,40 @@ def test_header_round_trip(nonce, height):
     hdr = BlockHeader(b"\xaa" * 32, b"\xbb" * 32, 1_700_000_123,
                       DEFAULT_GENESIS_TARGET, nonce, height)
     assert BlockHeader.deserialize(hdr.serialize()) == hdr
+
+
+def _reference_digest(state):
+    """`ChainState.digest` as one buffer: every row written, then hashed."""
+    w = Writer()
+    for (txid, idx) in sorted(state.utxos):
+        out = state.utxos[(txid, idx)]
+        w.raw(txid)
+        w.u32(idx)
+        w.u64(out.value)
+        w.var(out.recipient.encode())
+    for name in sorted(state.assets):
+        asset = state.assets[name]
+        w.var(name.encode())
+        w.var(asset.owner_address.encode())
+        w.var((asset.ipfs_hash or "").encode())
+        w.u64(asset.revision)
+    w.raw(state.tip)
+    w.u64(state.height)
+    return sha256d(w.getvalue())
+
+
+_TEXT = st.text(max_size=12)
+_UTXOS = st.dictionaries(
+    st.tuples(st.binary(min_size=32, max_size=32), st.integers(0, 2**32 - 1)),
+    st.builds(TxOutput, st.integers(0, 2**64 - 1), _TEXT), max_size=20)
+_ASSETS = st.lists(st.builds(registry.DomainAsset, _TEXT, _TEXT, st.none() | _TEXT,
+                             revision=st.integers(0, 2**64 - 1)), max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UTXOS, _ASSETS, st.binary(min_size=32, max_size=32), st.integers(0, 2**64 - 1))
+def test_state_digest_matches_a_digest_of_one_buffer(utxos, assets, tip, height):
+    state = ChainState(utxos, {a.asset_name: a for a in assets}, tip, height, ())
+    assert state.digest() == _reference_digest(state)
+    assert ChainState({}, {}, tip, height, ()).digest() == _reference_digest(
+        ChainState({}, {}, tip, height, ()))

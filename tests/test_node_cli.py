@@ -386,19 +386,15 @@ def test_a_bad_snapshot_falls_back_to_a_full_replay(tmp_path, monkeypatch, caplo
 
 
 def test_failed_renames_leave_no_temp_files(tmp_path, monkeypatch, caplog):
-    from ddns.cache import L2Cache
     monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 1)
     mined = tmp_path / "mined"
     _mine_at(LocalNode(NodeConfig(data_dir=str(mined))), 1)
     os.remove(mined / "chainstate.snap")  # the next open replays and writes one
-    l2 = L2Cache(str(tmp_path / "l2"))
 
     def failing_replace(src, dst):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        l2.put(("tmp.ddns", 1, CID), {"rcode": 0}, 60)
     # A snapshot is only a cache: the open and the next block go on without it.
     with caplog.at_level(logging.WARNING, logger="ddns.node"):
         node = LocalNode(NodeConfig(data_dir=str(mined)))
@@ -471,6 +467,18 @@ def test_config_round_trip(tmp_path):
     assert config.resolver.managed_tlds == ("ddns",)
 
 
+def test_config_ignores_a_resolver_cache_dir_with_one_warning(tmp_path, caplog):
+    path = tmp_path / "node.json"
+    for resolver, warnings in (({"cache_dir": "old-cache"}, 1), ({}, 0)):
+        path.write_text(json.dumps({"data_dir": "d", "resolver": resolver}))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ddns"):
+            config = load_config(str(path))
+        assert config.data_dir == str(tmp_path / "d")
+        assert len(caplog.records) == warnings
+        assert all("resolver.cache_dir is ignored" in r.getMessage() for r in caplog.records)
+
+
 def test_config_aggregates_all_problems():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"bogus": 1, "genesis": {"timestamp": -5},
@@ -515,6 +523,16 @@ def test_cli_register_mine_resolve(env, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] and out["rcode"] == 0
     assert out["answers"][0]["rdata"] == "c0a80164"
+
+
+def test_cli_resolver_session_writes_no_cache_files(env):
+    assert run(env, "register", "example.ddns", "--zone", env["zone"], "--key", env["key"]) == 0
+    assert run(env, "mine") == 0
+    before = sorted(os.listdir(env["dir"] / "data"))
+    for name in ("example.ddns", "www.example.ddns", "ghost.ddns"):
+        run(env, "resolve", name, "A")
+    assert sorted(os.listdir(env["dir"] / "data")) == before
+    assert not (env["dir"] / "data" / "resolver-cache").exists()
 
 
 def test_cli_resolve_unknown_name_exit_4(env):

@@ -1,7 +1,6 @@
 import base64
 import http.client
-import logging
-import shutil
+import os
 import socket
 import sys
 import threading
@@ -9,7 +8,6 @@ import time
 
 import pytest
 
-import ddns.cache
 import ddns.resolver
 from conftest import fixture_bytes, make_zone
 from ddns.resolver import MAX_CNAME_DEPTH, Resolver, ResolverConfig, serve_doh, serve_udp
@@ -57,6 +55,15 @@ def test_l2_hit_after_l1_expiry(stack, alice):
     assert answer.rcode == NOERROR
     assert r.stats["l2_hits"] == before["l2_hits"] + 1
     assert r.stats["store_reads"] == before["store_reads"]  # no store read on L2 hit
+
+
+def test_a_default_resolver_creates_no_files(tmp_path, monkeypatch, stack, alice):
+    monkeypatch.chdir(tmp_path)
+    _register_example(stack, alice)
+    before = sorted(os.listdir(tmp_path))
+    r = Resolver(ResolverConfig(), stack.node.chain_view, stack.node.store)
+    assert r.resolve("example.ddns", A).rcode == NOERROR
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_cname_chase(stack, alice):
@@ -114,11 +121,11 @@ def test_cname_to_nxdomain_gives_the_cname_alone(stack, alice):
     assert [(rr.name, rr.rtype) for rr in answer.records] == [("www.dangle.ddns", CNAME)]
 
 
-def test_cname_to_unmanaged_target_is_not_chased(stack, alice, tmp_path):
+def test_cname_to_unmanaged_target_is_not_chased(stack, alice):
     silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     silent.bind(("127.0.0.1", 0))
     try:
-        config = ResolverConfig(upstream=silent.getsockname(), cache_dir=str(tmp_path / "c"))
+        config = ResolverConfig(upstream=silent.getsockname())
         r = Resolver(config, stack.node.chain_view, stack.node.store)
         stack.register("alias.ddns", make_zone("alias.ddns", {"www": _cname("example.com")}), alice)
         answer = r.resolve("www.alias.ddns", A)
@@ -168,10 +175,7 @@ def test_nxdomain_and_negative_cache_is_l1_only(stack):
     before = dict(r.stats)
     assert r.resolve("ghost.ddns", A).rcode == NXDOMAIN
     assert r.stats["l1_hits"] == before["l1_hits"] + 1
-    # nothing was written to the persistent tier
-    import os
-    assert not [f for _, _, files in os.walk(r.caches.l2.directory)
-                for f in files if f.endswith(".json")]
+    assert len(r.caches.l2) == 0
 
 
 def test_tampered_store_object_never_served(stack, alice):
@@ -203,6 +207,31 @@ def test_update_coherence_within_l1_ttl(stack, alice):
 def _two_label_zone(address):
     return make_zone("example.ddns", {"@": {"A": [{"address": address}]},
                                       "www": {"A": [{"address": address}]}})
+
+
+def test_an_update_without_notice_misses_l2_once_then_hits_on_the_new_id(stack, alice):
+    stack.register("example.ddns", _two_label_zone("10.0.0.1"), alice)
+    r = stack.resolver
+    r.resolve("example.ddns", A)
+    stack.update("example.ddns", _two_label_zone("10.0.0.2"), alice)
+    stack.clock.advance(16)  # past the L1 TTL
+    before = dict(r.stats)
+    assert r.resolve("example.ddns", A).records[0].rdata == bytes([10, 0, 0, 2])
+    assert r.stats["store_reads"] == before["store_reads"] + 1
+    assert r.stats["l2_hits"] == before["l2_hits"]
+    assert r.resolve("www.example.ddns", A).records[0].rdata == bytes([10, 0, 0, 2])
+    assert r.stats["store_reads"] == before["store_reads"] + 1
+    assert r.stats["l2_hits"] == before["l2_hits"] + 1
+
+
+def test_updates_of_one_domain_keep_one_l2_entry(stack, alice):
+    stack.register("example.ddns", _two_label_zone("10.0.0.1"), alice)
+    r = stack.resolver
+    for i in range(2, 7):
+        stack.update("example.ddns", _two_label_zone(f"10.0.0.{i}"), alice)
+        stack.clock.advance(16)  # past the L1 TTL
+        assert r.resolve("example.ddns", A).records[0].rdata == bytes([10, 0, 0, i])
+    assert len(r.caches.l2) == 1
 
 
 def test_confirmed_update_without_notice_is_served_within_l1_ttl(stack, alice):
@@ -246,14 +275,13 @@ def test_unmanaged_tld_refused_without_upstream(stack):
     assert stack.resolver.resolve("example.com", A).rcode == REFUSED
 
 
-def test_forwarding_to_upstream(stack, alice, tmp_path):
+def test_forwarding_to_upstream(stack, alice):
     # a second resolver instance acts as the upstream authority
     _register_example(stack, alice)
     upstream = serve_udp(stack.resolver, host="127.0.0.1", port=0)
     try:
         config = ResolverConfig(managed_tlds=("phi",),
-                                upstream=(upstream.address[0], upstream.address[1]),
-                                cache_dir=str(tmp_path / "fwd-cache"))
+                                upstream=(upstream.address[0], upstream.address[1]))
         edge = Resolver(config, stack.node.chain_view, stack.node.store)
         answer = edge.resolve("example.ddns", A)
         assert answer.rcode == NOERROR
@@ -263,12 +291,12 @@ def test_forwarding_to_upstream(stack, alice, tmp_path):
         upstream.stop()
 
 
-def test_slow_upstream_does_not_stall_managed_names(stack, alice, tmp_path, monkeypatch):
+def test_slow_upstream_does_not_stall_managed_names(stack, alice, monkeypatch):
     monkeypatch.setattr(ddns.resolver, "UPSTREAM_TIMEOUT", 1.0)
     _register_example(stack, alice)
     silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     silent.bind(("127.0.0.1", 0))  # never replies
-    config = ResolverConfig(upstream=silent.getsockname(), cache_dir=str(tmp_path / "c"))
+    config = ResolverConfig(upstream=silent.getsockname())
     r = Resolver(config, stack.node.chain_view, stack.node.store)
     forwarded = []
     worker = threading.Thread(target=lambda: forwarded.append(r.resolve("example.com", A)))
@@ -289,11 +317,10 @@ def test_slow_upstream_does_not_stall_managed_names(stack, alice, tmp_path, monk
     assert r.stats["queries"] == 2 and r.stats["forwarded"] == 1
 
 
-def test_counters_stay_exact_under_concurrent_queries(stack, alice, tmp_path):
+def test_counters_stay_exact_under_concurrent_queries(stack, alice):
     _register_example(stack, alice)
     upstream = serve_udp(stack.resolver, host="127.0.0.1", port=0)
-    config = ResolverConfig(managed_tlds=("phi",), upstream=upstream.address,
-                            cache_dir=str(tmp_path / "c"))
+    config = ResolverConfig(managed_tlds=("phi",), upstream=upstream.address)
     r = Resolver(config, stack.node.chain_view, stack.node.store)
     rounds, workers = 20, 8
 
@@ -331,8 +358,7 @@ def _reply_to(query, rdata, **changes):
 
 @pytest.mark.parametrize("decoy", ["wrong-id", "other-question", "not-a-response",
                                    "third-socket"])
-def test_forwarding_takes_only_the_upstreams_reply_to_its_question(tmp_path, monkeypatch,
-                                                                    decoy):
+def test_forwarding_takes_only_the_upstreams_reply_to_its_question(monkeypatch, decoy):
     monkeypatch.setattr(ddns.resolver.secrets, "randbits", lambda bits: 0xBEEF)
     upstream = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     spoofer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -356,8 +382,7 @@ def test_forwarding_takes_only_the_upstreams_reply_to_its_question(tmp_path, mon
         time.sleep(0.05)  # the decoy arrives first
         upstream.sendto(_reply_to(query, GENUINE), peer)
 
-    config = ResolverConfig(managed_tlds=("ddns",), upstream=upstream.getsockname(),
-                            cache_dir=str(tmp_path / "c"))
+    config = ResolverConfig(managed_tlds=("ddns",), upstream=upstream.getsockname())
     r = Resolver(config, lambda: None, None)
     worker = threading.Thread(target=serve)
     try:
@@ -370,38 +395,6 @@ def test_forwarding_takes_only_the_upstreams_reply_to_its_question(tmp_path, mon
     assert not worker.is_alive()
     assert [q.id for q in queries] == [0xBEEF]  # one try: the decoy did not end it
     assert answer.rcode == NOERROR and [rr.rdata for rr in answer.records] == [GENUINE]
-
-
-def test_failed_l2_write_still_answers(stack, alice, caplog, monkeypatch):
-    _register_example(stack, alice)
-
-    def failing_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(ddns.cache.os, "replace", failing_replace)
-    with caplog.at_level(logging.WARNING, logger="ddns"):
-        answer = stack.resolver.resolve("example.ddns", A)
-    assert answer.rcode == NOERROR
-    assert answer.records[0].rdata == bytes([192, 168, 1, 100])
-    assert len(caplog.records) == 1 and "L2" in caplog.text
-    wire = encode_message(build_query("example.ddns", "A", msg_id=8))
-    reply = decode_message(stack.resolver.handle_wire_query(wire))
-    assert reply.rcode == NOERROR and reply.answers[0].rdata == bytes([192, 168, 1, 100])
-
-
-def test_removed_l2_directory_is_recreated(stack, alice, caplog):
-    _register_example(stack, alice)
-    r = stack.resolver
-    shutil.rmtree(stack.caches.l2.directory)
-    with caplog.at_level(logging.WARNING, logger="ddns"):
-        assert r.resolve("example.ddns", A).rcode == NOERROR
-    assert not caplog.records
-    stack.clock.advance(16)  # past the L1 TTL
-    before = dict(r.stats)
-    answer = r.resolve("example.ddns", A)
-    assert answer.records[0].rdata == bytes([192, 168, 1, 100])
-    assert r.stats["l2_hits"] == before["l2_hits"] + 1
-    assert r.stats["store_reads"] == before["store_reads"]
 
 
 # -- wire-level handling ------------------------------------------------------
