@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 from .encoding import sha256d
-from .errors import SerializationError
+from .errors import DdnsError, SerializationError
 from .keys import Signature, decode_address, derive_address, verify, ADDRESS_VERSION, MULTISIG_VERSION
 from .validation import ValidationResult, invalid, valid
 
@@ -94,6 +94,12 @@ class Reader:
 
     def u8(self):
         return self._take(1)[0]
+
+    def flag(self) -> bool:
+        v = self.u8()
+        if v > 1:
+            raise SerializationError(f"flag byte {v} is neither 0 nor 1")
+        return v == 1
 
     def u32(self):
         return struct.unpack("<I", self._take(4))[0]
@@ -272,16 +278,16 @@ class Transaction:
         )
         outputs = tuple(TxOutput(r.u64(), _addr_text(r.raw(21))) for _ in range(r.u32()))
         asset_op = None
-        if r.u8():
+        if r.flag():
             kind = r.u8()
             if kind >= len(OP_KINDS):
                 raise SerializationError(f"unknown asset operation kind {kind}")
             asset_name = r.text()
-            new_content_id = r.text() if r.u8() else None
-            new_owner = _addr_text(r.raw(21)) if r.u8() else None
+            new_content_id = r.text() if r.flag() else None
+            new_owner = _addr_text(r.raw(21)) if r.flag() else None
             fee_paid = r.u64()
             revision = r.u64()
-            subsidized = bool(r.u8())
+            subsidized = r.flag()
             policy_keys = tuple(r.raw(33) for _ in range(r.u32()))
             auth = tuple((r.raw(33), r.raw(64)) for _ in range(r.u32()))
             asset_op = AssetOperation(OP_KINDS[kind], asset_name, new_content_id, new_owner,
@@ -608,7 +614,7 @@ def validate_transaction(tx: Transaction, state: ChainState) -> ValidationResult
                 return invalid("bad-signature", f"input {i} key does not own output")
             if not tx.sig_ok(txin.public_key, txin.signature):
                 return invalid("bad-signature", f"input {i} signature invalid")
-        except Exception:
+        except DdnsError:
             return invalid("bad-signature", f"input {i} malformed key or signature")
         total_in += utxo.value
     total_out = 0

@@ -15,6 +15,17 @@ libsecp256k1:
   halves of about 128 bits, k1 + k2 * LAMBDA, that share one doubling chain;
 - width-5 NAF digits for both halves, over a small table of odd multiples
   of the public key.
+
+Each public key is decoded (a 256-bit modular square root) and its table
+built at most once while it stays in a bounded LRU cache, keyed by the
+33-byte encoding and shared by `verify`, `derive_address` and
+`multisig_address`. An entry is the on-curve-checked point Q and the affine
+Q, 3Q, ..., 15Q with their LAMBDA images, packed into one 768-byte string
+(negation happens at lookup): about 0.94 KB per key under tracemalloc, so
+3.9 MB for all KEY_CACHE_SIZE = 4096 keys. A malformed key raises
+InvalidKeyError on every call and is never cached. `verify` compares r with
+R's x projectively (X == r * Z^2, or (r + N) * Z^2 when r + N < P), so it
+inverts nothing after the multiplication.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .encoding import b58check_encode, b58check_decode, hash160, sha256
 from .errors import InvalidKeyError, InvalidSeedError, InvalidAddressError
@@ -49,6 +60,7 @@ _B2 = _A1
 
 G_WINDOW_BITS = 8
 WNAF_WIDTH = 5
+KEY_CACHE_SIZE = 4096  # public keys whose decoded point and tables are kept
 
 
 def _inv(a: int, m: int) -> int:
@@ -198,29 +210,38 @@ def _glv_split(k: int):
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _mul(point, k: int):
-    """k * point (Jacobian) for an affine point: k is split as k1 + k2 * LAMBDA,
-    and both halves run through one shared doubling chain as width-5 NAFs."""
-    x, y = point
-    odd = [(x, y, 1)]
+def _odd_multiples(point) -> bytes:
+    """Q, 3Q, ..., 15Q for the affine point Q, each followed by its LAMBDA
+    image, packed as x, y, BETA * x: 24 big-endian 32-byte field elements."""
+    odd = [(point[0], point[1], 1)]
     twice = _jac_double(odd[0])
     for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
         odd.append(_jac_add(odd[-1], twice))
-    odd = _batch_affine(odd)  # point, 3 * point, ..., 15 * point
-    halves = []
-    for part, endo in zip(_glv_split(k % N), (False, True)):
-        # digit d -> d * R, where R is the point for k1 and LAMBDA * point for
-        # k2, negated when that half is negative
-        table = {}
-        for j, (ox, oy) in enumerate(odd):
-            if endo:
-                ox = (ox * BETA) % P
-            if part < 0:
-                oy = P - oy
-            table[2 * j + 1] = (ox, oy)
-            table[-2 * j - 1] = (ox, P - oy)
-        halves.append((_wnaf(abs(part)), table))
-    (n1, t1), (n2, t2) = halves
+    return b"".join(c.to_bytes(32, "big")
+                    for x, y in _batch_affine(odd) for c in (x, y, (x * BETA) % P))
+
+
+def _signed_table(xs, ys, negate: bool) -> list:
+    """t[d] = d * R for odd d in [-15, 15], given R's odd multiples (xs, ys)
+    and R negated when `negate`; a negative d indexes from the list's end."""
+    table = [None] * (1 << WNAF_WIDTH)
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        if negate:
+            y = P - y
+        table[2 * j + 1] = (x, y)
+        table[-2 * j - 1] = (x, P - y)
+    return table
+
+
+def _mul(odd: bytes, k: int):
+    """k * Q (Jacobian) from `_odd_multiples(Q)`: k is split as k1 + k2 * LAMBDA,
+    and both halves run through one shared doubling chain as width-5 NAFs."""
+    coords = [int.from_bytes(odd[i:i + 32], "big") for i in range(0, len(odd), 32)]
+    ys = coords[1::3]
+    k1, k2 = _glv_split(k % N)
+    t1 = _signed_table(coords[0::3], ys, k1 < 0)
+    t2 = _signed_table(coords[2::3], ys, k2 < 0)
+    n1, n2 = _wnaf(abs(k1)), _wnaf(abs(k2))
     size = max(len(n1), len(n2))
     n1 += [0] * (size - len(n1))
     n2 += [0] * (size - len(n2))
@@ -339,29 +360,46 @@ def sign(sk: int, message: bytes) -> Signature:
         return Signature(r, s)
 
 
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def _key_table(pk: bytes) -> bytes:
+    """`_odd_multiples` of the point `pk` encodes, built once per cached key.
+
+    A malformed encoding raises InvalidKeyError on every call: lru_cache
+    keeps no result for a call that raises.
+    """
+    point = decode_point(pk)
+    if not _on_curve(point):
+        raise InvalidKeyError("public key not on curve")
+    return _odd_multiples(point)
+
+
+def _x_is(point, r: int) -> bool:
+    """x mod N == r for the affine x = X / Z^2 of a finite Jacobian point,
+    without inverting Z: for 0 < r < N, x is r or, if r + N < P, r + N."""
+    x, _, z = point
+    zz = (z * z) % P
+    return (x - r * zz) % P == 0 or (r + N < P and (x - (r + N) * zz) % P == 0)
+
+
 def verify(pk: bytes, message: bytes, sig: Signature) -> bool:
     """True iff `sig` validates SHA-256(message) under `pk`.
 
     Malformed signature values yield False; a malformed public-key
     encoding raises InvalidKeyError instead.
     """
-    point = decode_point(pk)
-    if not _on_curve(point):
-        raise InvalidKeyError("public key not on curve")
+    odd = _key_table(pk)
     if not (0 < sig.r < N and 0 < sig.s < N):
         return False
     z = int.from_bytes(sha256(message), "big") % N
     w = _inv(sig.s, N)
     u1 = (z * w) % N
     u2 = (sig.r * w) % N
-    pt = _to_affine(_jac_add(_g_mul(u1), _mul(point, u2)))
-    if pt is None:
-        return False
-    return pt[0] % N == sig.r
+    pt = _jac_add(_g_mul(u1), _mul(odd, u2))
+    return pt is not _INF and _x_is(pt, sig.r)
 
 
 def derive_address(pk: bytes) -> str:
-    decode_point(pk)  # reject malformed encodings up front
+    _key_table(pk)  # reject malformed encodings up front
     return b58check_encode(ADDRESS_VERSION, hash160(pk))
 
 
@@ -378,5 +416,5 @@ def decode_address(text: str) -> tuple:
 def multisig_address(keys: list[bytes]) -> str:
     """Address committing to a sorted set of policy public keys."""
     for key in keys:
-        decode_point(key)
+        _key_table(key)
     return b58check_encode(MULTISIG_VERSION, hash160(b"".join(sorted(keys))))

@@ -118,7 +118,11 @@ def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
             return invalid("not-owner", "multisig owner requires 3 policy keys")
         if len(set(op.policy_keys)) != MULTISIG_KEYS:
             return invalid("not-owner", "policy keys must be distinct")
-        if multisig_address(list(op.policy_keys)) != expected_owner:
+        try:
+            committed = multisig_address(list(op.policy_keys))
+        except DdnsError:
+            return invalid("not-owner", "malformed policy key")
+        if committed != expected_owner:
             return invalid("not-owner", "policy keys do not match owner commitment")
         signers = set()
         for pubkey, sig in op.auth:
@@ -127,7 +131,7 @@ def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
             try:
                 if tx.sig_ok(pubkey, sig):
                     signers.add(pubkey)
-            except Exception:
+            except DdnsError:
                 continue
         if len(signers) < MULTISIG_THRESHOLD:
             return invalid("not-owner",
@@ -139,7 +143,7 @@ def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
                 continue
             if tx.sig_ok(pubkey, sig):
                 return valid()
-        except Exception:
+        except DdnsError:
             continue
     return invalid("not-owner", "no valid signature by the current owner")
 
@@ -203,14 +207,14 @@ def _registration_owner(tx: Transaction) -> str | None:
             return None
         try:
             return multisig_address(list(op.policy_keys))
-        except Exception:
+        except DdnsError:
             return None
     if op.new_owner is not None:
         return op.new_owner
     if op.auth:
         try:
             return tx.address_of(op.auth[0][0])
-        except Exception:
+        except DdnsError:
             return None
     return None
 

@@ -107,6 +107,65 @@ def test_block_round_trip():
     assert Block.deserialize(block.serialize()) == block
 
 
+def _flagged_tx():
+    """A signed tx with an input, an output and all four flag bytes set."""
+    op = AssetOperation("register", "DDNS/FLAGS", new_content_id=CID, new_owner=BOB.address,
+                        subsidized=True, auth=((ALICE.public_key, b"\x00" * 64),))
+    tx = Transaction((TxInput(b"\x07" * 32, 1, ALICE.public_key),),
+                     (TxOutput(5 * COIN, BOB.address),), op, 3)
+    return sign_transaction(tx, ALICE)
+
+
+FLAGGED_TX = _flagged_tx().serialize()
+FLAGGED_BLOCK = Block(make_genesis().header,
+                      (Transaction.deserialize(FLAGGED_TX), register_tx(genesis_state(make_genesis())))
+                      ).serialize()
+
+
+def _decodes_canonically_or_raises(decode, raw: bytes, offset: int, value: int):
+    mutated = bytearray(raw)
+    mutated[offset] = value
+    try:
+        decoded = decode(bytes(mutated))
+    except SerializationError:
+        return
+    assert decoded.serialize() == mutated, (offset, value)
+
+
+@pytest.mark.parametrize("value", [2, 0x80, 0xFF])
+def test_every_byte_of_a_tx_and_a_block_set_to_a_non_flag_value_round_trips_or_raises(value):
+    for offset in range(len(FLAGGED_TX)):
+        _decodes_canonically_or_raises(Transaction.deserialize, FLAGGED_TX, offset, value)
+    for offset in range(len(FLAGGED_BLOCK)):
+        _decodes_canonically_or_raises(Block.deserialize, FLAGGED_BLOCK, offset, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_single_byte_mutation_round_trips_or_raises(data):
+    for decode, raw in ((Transaction.deserialize, FLAGGED_TX), (Block.deserialize, FLAGGED_BLOCK)):
+        _decodes_canonically_or_raises(decode, raw, data.draw(st.integers(0, len(raw) - 1)),
+                                       data.draw(st.integers(0, 255)))
+
+
+def test_flag_bytes_other_than_0_or_1_are_rejected():
+    tx = Transaction.deserialize(FLAGGED_TX)
+    op = tx.asset_op
+    assert op.new_content_id and op.new_owner and op.subsidized
+    # After one input (4 + 133 bytes) and one output (4 + 29): the asset-op
+    # flag, the kind, the name, then the content-id, new-owner and subsidized flags.
+    content = 170 + 1 + 1 + 4 + len(op.asset_name)
+    owner = content + 1 + 4 + len(op.new_content_id)
+    flags = [170, content, owner, owner + 1 + 21 + 8 + 8]
+    for offset in flags:
+        assert FLAGGED_TX[offset] == 1
+        for value in (2, 0xFF):
+            mutated = bytearray(FLAGGED_TX)
+            mutated[offset] = value
+            with pytest.raises(SerializationError, match="flag byte"):
+                Transaction.deserialize(bytes(mutated))
+
+
 def test_weight_is_four_per_byte():
     tx = register_tx(genesis_state(make_genesis()))
     assert tx_weight(tx) == 4 * len(tx.serialize())
@@ -373,6 +432,48 @@ def test_a_malformed_key_is_rejected_on_every_check():
             bad.address_of(bad.asset_op.auth[0][0])
         result = validate_transaction(bad, state)
         assert not result.ok and result.code == "asset-rule-violation"
+
+
+def _with_auth(tx, key, sig):
+    return replace(tx, asset_op=replace(tx.asset_op, auth=((key, sig),)))
+
+
+def test_malformed_keys_and_signatures_keep_their_rejection_codes():
+    chain = fresh_chain()
+    mined(chain)
+    funded = registry.register_domain("WEB3/CODES", CID, ALICE, chain.state)
+    txin = funded.inputs[0]
+    short_key, short_sig = txin.public_key[:32], txin.signature[:63]
+    registration = register_tx(chain.state)
+    cases = [(replace(funded, inputs=(replace(txin, public_key=short_key),)), "bad-signature"),
+             (replace(funded, inputs=(replace(txin, signature=short_sig),)), "bad-signature"),
+             (_with_auth(registration, short_key, short_sig), "asset-rule-violation"),
+             (_with_auth(registration, ALICE.public_key, short_sig), "not-owner")]
+    for bad, code in cases:
+        result = validate_transaction(bad, chain.state)
+        assert not result.ok and result.code == code, (code, result)
+    mined(chain, [registration])
+    update = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, chain.state, nonce=1)
+    for bad in (_with_auth(update, short_key, short_sig), _with_auth(update, ALICE.public_key, short_sig)):
+        result = validate_transaction(bad, chain.state)
+        assert not result.ok and result.code == "not-owner", result
+
+
+def test_a_fault_in_the_signature_kernel_is_not_a_rejection(monkeypatch):
+    state = genesis_state(make_genesis())
+    tx = register_tx(state)
+
+    def broken(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(chain_module, "verify", broken)
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        validate_transaction(tx, state)
+    chain = fresh_chain()
+    mined(chain)
+    funded = registry.register_domain("WEB3/FAULT", CID, ALICE, chain.state)
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        validate_transaction(funded, chain.state)
 
 
 # -- reorg --------------------------------------------------------------------

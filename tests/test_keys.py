@@ -281,8 +281,8 @@ def test_endomorphism_constants():
 @pytest.mark.parametrize("k", EDGE_SCALARS)
 def test_fast_multiplications_match_the_ladder_at_edge_scalars(k):
     assert keys._to_affine(keys._g_mul(k)) == _ladder(G, k)
-    assert keys._to_affine(keys._mul(Q, k)) == _ladder(Q, k)
-    assert keys._to_affine(keys._mul(G, k)) == _ladder(G, k)
+    assert keys._to_affine(keys._mul(keys._odd_multiples(Q), k)) == _ladder(Q, k)
+    assert keys._to_affine(keys._mul(keys._odd_multiples(G), k)) == _ladder(G, k)
 
 
 @settings(max_examples=20, deadline=None)
@@ -290,4 +290,79 @@ def test_fast_multiplications_match_the_ladder_at_edge_scalars(k):
 def test_fast_multiplications_match_the_ladder(k, sk):
     point = _ladder(G, sk)
     assert keys._to_affine(keys._g_mul(k)) == _ladder(G, k)
-    assert keys._to_affine(keys._mul(point, k)) == _ladder(point, k)
+    assert keys._to_affine(keys._mul(keys._odd_multiples(point), k)) == _ladder(point, k)
+
+
+# -- the per-key cache and the projective x check ----------------------------
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(1, N - 1), min_size=2, max_size=4, unique=True),
+       st.lists(st.binary(max_size=60), min_size=2, max_size=3))
+def test_verify_agrees_with_oracle_on_cold_warm_and_interleaved_keys(sks, messages):
+    cases = []
+    for sk in sks:
+        pk = generate_keypair(sk.to_bytes(32, "big")).public_key
+        for message in messages:
+            r, s = decode_dss_signature(_oracle_private(sk).sign(message, ec.ECDSA(hashes.SHA256())))
+            cases += [(pk, message, r, s), (pk, message, r, s ^ 1), (pk, message, r ^ 1, s),
+                      (pk, message + b"!", r, s)]
+    keys._key_table.cache_clear()
+    cold = [verify(pk, m, Signature(r, s)) for pk, m, r, s in cases]  # each key's first call is cold
+    warm = [verify(pk, m, Signature(r, s)) for pk, m, r, s in cases]
+    interleaved = [verify(pk, m, Signature(r, s)) for pk, m, r, s in cases[::-1]][::-1]
+    expected = [_oracle_verify(pk, m, r, s) for pk, m, r, s in cases]
+    assert cold == warm == interleaved == expected
+    assert any(expected) and not all(expected)
+    info = keys._key_table.cache_info()
+    assert info.misses == len(sks) and info.currsize == len(sks)
+
+
+def test_a_key_is_decoded_once_for_its_address_and_every_verify(monkeypatch):
+    calls = []
+    real = keys.decode_point
+    monkeypatch.setattr(keys, "decode_point", lambda pk: calls.append(pk) or real(pk))
+    keys._key_table.cache_clear()
+    kps = [generate_keypair(bytes([i]) * 32) for i in (7, 8, 9)]
+    for kp in kps:
+        sig = sign(kp.secret_key, b"msg")
+        for _ in range(3):
+            keys.derive_address(kp.public_key)
+            assert verify(kp.public_key, b"msg", sig)
+    multisig_address([kp.public_key for kp in kps])
+    assert calls == [kp.public_key for kp in kps]
+
+
+@pytest.mark.parametrize("pk", [b"\x02" + b"\xff" * 32,   # x >= P
+                                b"\x02" + b"\x00" * 32,   # x^3 + 7 not a square
+                                b"\x04" + b"\x11" * 32,   # uncompressed prefix
+                                b"\x02" + b"\x11" * 31])  # 32 bytes
+def test_a_malformed_key_raises_every_time_and_is_never_cached(pk):
+    verify(generate_keypair(SEED).public_key, b"msg", Signature(1, 1))
+    size = keys._key_table.cache_info().currsize
+    for call in (lambda: verify(pk, b"msg", Signature(1, 1)), lambda: verify(pk, b"msg", Signature(1, 1)),
+                 lambda: keys.derive_address(pk), lambda: keys.derive_address(pk),
+                 lambda: multisig_address([pk]), lambda: multisig_address([pk])):
+        with pytest.raises(InvalidKeyError):
+            call()
+        assert keys._key_table.cache_info().currsize == size
+
+
+def test_the_projective_check_accepts_an_x_that_is_r_plus_n():
+    P = keys.P
+    t = 0
+    while True:  # a curve point whose x is at least N, so x mod N == x - N
+        x = N + t
+        y_sq = (x * x * x + 7) % P
+        y = pow(y_sq, (P + 1) // 4, P)
+        if y * y % P == y_sq:
+            break
+        t += 1
+    assert x < P and keys._on_curve((x, y))
+    r = x - N
+    for z in (1, 2, 0xC0FFEE, P - 1, int.from_bytes(keys.sha256(b"z"), "big") % P):
+        point = (x * z * z % P, y * z * z * z % P, z)
+        assert keys._x_is(point, r)
+        assert not keys._x_is(point, r + 1)
+    # and for an ordinary x < N, which matches only itself
+    gx = (keys.GX * 9 % P, keys.GY * 27 % P, 3)
+    assert keys._x_is(gx, keys.GX) and not keys._x_is(gx, keys.GX + 1)

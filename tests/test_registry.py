@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +237,16 @@ def test_multisig_duplicate_signer_counts_once():
                               (ALICE.public_key, b"\x00" * 64)))
     tx = sign_transaction(Transaction((), (), op, 1), ALICE)
     assert not validate_transaction(tx, chain.state).ok
+
+
+def test_multisig_update_with_a_malformed_policy_key_is_rejected():
+    chain, policy = _multisig_chain()
+    tx = _multisig_update(chain, policy, (ALICE, BOB))
+    bad_keys = (b"\x02" + b"\xff" * 32, *policy.keys[1:])
+    bad = replace(tx, asset_op=replace(tx.asset_op, policy_keys=bad_keys))
+    for _ in range(2):
+        result = validate_transaction(bad, chain.state)
+        assert not result.ok and result.code == "not-owner"
 
 
 def test_multisig_policy_requires_three_distinct_keys():
