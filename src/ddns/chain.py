@@ -23,11 +23,12 @@ import logging
 import struct
 from collections.abc import MutableMapping
 from dataclasses import astuple, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .encoding import sha256d
+from .encoding import b58check_encode, sha256d
 from .errors import DdnsError, SerializationError
-from .keys import Signature, decode_address, derive_address, verify, ADDRESS_VERSION, MULTISIG_VERSION
+from .keys import (Signature, decode_address, derive_address, verify, ADDRESS_CACHE_SIZE,
+                   ADDRESS_VERSION, MULTISIG_VERSION)
 from .validation import ValidationResult, invalid, valid
 
 COIN = 10 ** 8                     # base units per PHI
@@ -48,6 +49,8 @@ MAX_FUTURE_DRIFT = 120
 # would set this in the genesis config.
 DEFAULT_GENESIS_TARGET = MAX_TARGET >> 4
 GENESIS_TIMESTAMP = 1_700_000_000
+# The genesis coinbase pays an address with no known key.
+BURN_ADDRESS = b58check_encode(ADDRESS_VERSION, b"\x00" * 20)
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +131,8 @@ def _addr_bytes(address: str) -> bytes:
     return bytes([version]) + payload
 
 
+@lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def _addr_text(raw: bytes) -> str:
-    from .encoding import b58check_encode
     if len(raw) != 21 or raw[0] not in (ADDRESS_VERSION, MULTISIG_VERSION):
         raise SerializationError("bad address bytes")
     return b58check_encode(raw[0], raw[1:])
@@ -835,9 +838,7 @@ def mine_block(mempool, state: ChainState, coinbase_address: str,
 
 def make_genesis(target: int = DEFAULT_GENESIS_TARGET,
                  timestamp: int = GENESIS_TIMESTAMP) -> Block:
-    from .encoding import b58check_encode
-    burn = b58check_encode(ADDRESS_VERSION, b"\x00" * 20)
-    coinbase = Transaction((), (TxOutput(BLOCK_SUBSIDY, burn),), None, 0)
+    coinbase = Transaction((), (TxOutput(BLOCK_SUBSIDY, BURN_ADDRESS),), None, 0)
     header = BlockHeader(b"\x00" * 32, merkle_root([coinbase.txid]),
                          timestamp, target, 0, 0)
     return Block(header, (coinbase,))

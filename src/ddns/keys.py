@@ -12,17 +12,23 @@ libsecp256k1:
   with one batched (Montgomery) inversion, so commands that never sign or
   verify do not pay for it;
 - the GLV endomorphism, which splits the public-key scalar u2 into two
-  halves of about 128 bits, k1 + k2 * LAMBDA, that share one doubling chain;
-- width-5 NAF digits for both halves, over a small table of odd multiples
-  of the public key.
+  halves of about 128 bits, k1 + k2 * LAMBDA;
+- a per-key comb: each half is cut into KEY_SEGMENTS = 4 parts of
+  SEGMENT_BITS = 33 bits (the top part takes every remaining bit), and part
+  j runs against a table for Q_j = 2^(33 j) * Q, so all eight parts share
+  one doubling chain of at most 34 steps instead of about 129;
+- width-5 NAF digits for every part, over the odd multiples of its Q_j.
 
-Each public key is decoded (a 256-bit modular square root) and its table
+Each public key is decoded (a 256-bit modular square root) and its tables
 built at most once while it stays in a bounded LRU cache, keyed by the
 33-byte encoding and shared by `verify`, `derive_address` and
-`multisig_address`. An entry is the on-curve-checked point Q and the affine
-Q, 3Q, ..., 15Q with their LAMBDA images, packed into one 768-byte string
-(negation happens at lookup): about 0.94 KB per key under tracemalloc, so
-3.9 MB for all KEY_CACHE_SIZE = 4096 keys. A malformed key raises
+`multisig_address`. An entry holds, for each Q_j, the affine Q_j, 3Q_j, ...,
+15Q_j with their LAMBDA images, made affine with one batched inversion and
+packed into one 3,072-byte string (negation happens at lookup): about 3.2 KB
+per key under tracemalloc, so 13 MB for all KEY_CACHE_SIZE = 4096 keys.
+Building it takes 99 extra doublings, so a key's first verify is dearer
+than with a single table and every later one cheaper; the two even out at
+about two to three verifies per cached key. A malformed key raises
 InvalidKeyError on every call and is never cached. `verify` compares r with
 R's x projectively (X == r * Z^2, or (r + N) * Z^2 when r + N < P), so it
 inverts nothing after the multiplication.
@@ -60,7 +66,10 @@ _B2 = _A1
 
 G_WINDOW_BITS = 8
 WNAF_WIDTH = 5
+KEY_SEGMENTS = 4   # parts per GLV half of u2, each with its own key table
+SEGMENT_BITS = 33  # bits per part; the top part takes every remaining bit
 KEY_CACHE_SIZE = 4096  # public keys whose decoded point and tables are kept
+ADDRESS_CACHE_SIZE = 4096  # addresses kept decoded (text -> bytes) and encoded
 
 
 def _inv(a: int, m: int) -> int:
@@ -211,47 +220,59 @@ def _glv_split(k: int):
 
 
 def _odd_multiples(point) -> bytes:
-    """Q, 3Q, ..., 15Q for the affine point Q, each followed by its LAMBDA
-    image, packed as x, y, BETA * x: 24 big-endian 32-byte field elements."""
-    odd = [(point[0], point[1], 1)]
-    twice = _jac_double(odd[0])
-    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
-        odd.append(_jac_add(odd[-1], twice))
+    """For each segment base Q_j = 2^(SEGMENT_BITS * j) * Q, j = 0..KEY_SEGMENTS-1,
+    the odd multiples Q_j, 3Q_j, ..., 15Q_j of the affine point Q, each packed
+    as x, y, BETA * x (its LAMBDA image shares y): KEY_SEGMENTS * 24
+    big-endian 32-byte field elements, made affine with one inversion."""
+    base = (point[0], point[1], 1)
+    odd = []
+    for j in range(KEY_SEGMENTS):
+        if j:
+            for _ in range(SEGMENT_BITS):
+                base = _jac_double(base)
+        twice = _jac_double(base)
+        odd.append(base)
+        for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+            odd.append(_jac_add(odd[-1], twice))
     return b"".join(c.to_bytes(32, "big")
                     for x, y in _batch_affine(odd) for c in (x, y, (x * BETA) % P))
 
 
-def _signed_table(xs, ys, negate: bool) -> list:
-    """t[d] = d * R for odd d in [-15, 15], given R's odd multiples (xs, ys)
-    and R negated when `negate`; a negative d indexes from the list's end."""
-    table = [None] * (1 << WNAF_WIDTH)
-    for j, (x, y) in enumerate(zip(xs, ys)):
-        if negate:
-            y = P - y
-        table[2 * j + 1] = (x, y)
-        table[-2 * j - 1] = (x, P - y)
-    return table
+def _segments(k: int) -> list:
+    """k >= 0 as KEY_SEGMENTS parts of SEGMENT_BITS bits, least significant
+    first; the top part takes every remaining bit, so none is dropped."""
+    mask = (1 << SEGMENT_BITS) - 1
+    parts = []
+    for _ in range(KEY_SEGMENTS - 1):
+        parts.append(k & mask)
+        k >>= SEGMENT_BITS
+    return parts + [k]
 
 
 def _mul(odd: bytes, k: int):
-    """k * Q (Jacobian) from `_odd_multiples(Q)`: k is split as k1 + k2 * LAMBDA,
-    and both halves run through one shared doubling chain as width-5 NAFs."""
-    coords = [int.from_bytes(odd[i:i + 32], "big") for i in range(0, len(odd), 32)]
-    ys = coords[1::3]
+    """k * Q (Jacobian) from `_odd_multiples(Q)`. k is split as k1 + k2 * LAMBDA,
+    each half into `_segments`, and the width-5 NAFs of all the parts share
+    one doubling chain: part j of a half adds its digits against Q_j's table."""
     k1, k2 = _glv_split(k % N)
-    t1 = _signed_table(coords[0::3], ys, k1 < 0)
-    t2 = _signed_table(coords[2::3], ys, k2 < 0)
-    n1, n2 = _wnaf(abs(k1)), _wnaf(abs(k2))
-    size = max(len(n1), len(n2))
-    n1 += [0] * (size - len(n1))
-    n2 += [0] * (size - len(n2))
+    nafs = []
+    for half, column in ((k1, 0), (k2, 64)):  # x, or BETA * x for the LAMBDA half
+        for j, part in enumerate(_segments(abs(half))):
+            nafs.append((_wnaf(part), j << (WNAF_WIDTH - 2), column, half < 0))
+    # adds[i]: the affine points added right after the doubling for digit i
+    adds = [[] for _ in range(max(len(digits) for digits, _, _, _ in nafs))]
+    for digits, first, column, negate in nafs:
+        for i, d in enumerate(digits):
+            if d:
+                at = 96 * (first + (abs(d) >> 1))  # the entry x, y, BETA * x of |d| * Q_j
+                y = int.from_bytes(odd[at + 32:at + 64], "big")
+                if (d < 0) != negate:
+                    y = P - y
+                adds[i].append((int.from_bytes(odd[at + column:at + column + 32], "big"), y))
     acc = _INF
-    for i in range(size - 1, -1, -1):
+    for points in reversed(adds):
         acc = _jac_double(acc)
-        if n1[i]:
-            acc = _madd(acc, t1[n1[i]])
-        if n2[i]:
-            acc = _madd(acc, t2[n2[i]])
+        for q in points:
+            acc = _madd(acc, q)
     return acc
 
 
@@ -403,8 +424,10 @@ def derive_address(pk: bytes) -> str:
     return b58check_encode(ADDRESS_VERSION, hash160(pk))
 
 
+@lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def decode_address(text: str) -> tuple:
-    """Return (version, 20-byte payload); raises InvalidAddressError."""
+    """Return (version, 20-byte payload); raises InvalidAddressError, on every
+    call for a malformed text, since lru_cache keeps no result that raised."""
     version, payload = b58check_decode(text)
     if version not in (ADDRESS_VERSION, MULTISIG_VERSION):
         raise InvalidAddressError(f"unknown address version {version:#x}")

@@ -150,7 +150,11 @@ def decode_name(data: bytes, pos: int) -> tuple:
         except UnicodeDecodeError:
             raise DnsParseError("non-ascii label")
         cursor += length
-    return ".".join(labels), (end if end is not None else cursor)
+    name = ".".join(labels)
+    if labels and name.count(".") >= len(labels):
+        # a dotted name could not tell a dot inside a label from a boundary
+        raise DnsParseError("label contains a dot")
+    return name, (end if end is not None else cursor)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
-                        DIFFICULTY_CLAMP, MAX_TARGET, REGISTRATION_FEE,
+                        DIFFICULTY_CLAMP, GENESIS_TIMESTAMP, MAX_TARGET, REGISTRATION_FEE,
                         TARGET_BLOCK_TIME, AssetOperation, Block, BlockHeader, BlockUndo,
                         Chain, ChainState, Transaction, TxInput, TxOutput, Writer,
                         adjust_difficulty, apply_block,
@@ -17,7 +17,7 @@ from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
 from ddns.config import NodeConfig
 from ddns.encoding import sha256d
 from ddns.errors import InvalidKeyError, SerializationError
-from ddns.keys import generate_keypair
+from ddns.keys import decode_address, generate_keypair
 from ddns.node import LocalNode
 from ddns import chain as chain_module, node as node_module
 from ddns.store import content_id_of
@@ -164,6 +164,51 @@ def test_flag_bytes_other_than_0_or_1_are_rejected():
             mutated[offset] = value
             with pytest.raises(SerializationError, match="flag byte"):
                 Transaction.deserialize(bytes(mutated))
+
+
+def _fan_out(prev_txid: bytes, count: int = 500) -> Transaction:
+    """ALICE pays `count` outputs to BOB's one address."""
+    outputs = tuple(TxOutput(COIN // 10, BOB.address) for _ in range(count))
+    return sign_transaction(Transaction((TxInput(prev_txid, 0, ALICE.public_key),), outputs,
+                                        None, 0), ALICE)
+
+
+def test_decoding_500_outputs_to_one_address_encodes_it_once(monkeypatch):
+    block = Block(make_genesis().header, (_fan_out(b"\x07" * 32),))
+    raw = block.serialize()
+    encoded = []
+    real = chain_module.b58check_encode
+    monkeypatch.setattr(chain_module, "b58check_encode",
+                        lambda version, payload: encoded.append(payload) or real(version, payload))
+    chain_module._addr_text.cache_clear()
+    assert Block.deserialize(raw) == block
+    assert Block.deserialize(raw).serialize() == raw
+    assert encoded == [decode_address(BOB.address)[1]]
+
+
+def test_a_malformed_address_byte_string_raises_every_time_and_is_never_cached():
+    bad = [bytes([0x00]) + b"\x01" * 20, bytes([0x37]) + b"\x01" * 19]  # version, length
+    before = chain_module._addr_text.cache_info().currsize
+    for raw in bad + bad:
+        with pytest.raises(SerializationError):
+            chain_module._addr_text(raw)
+    assert chain_module._addr_text.cache_info().currsize == before
+
+
+def test_txids_and_state_digests_are_pinned():
+    """Hashes taken before address decoding was cached: the caches change no byte."""
+    chain = fresh_chain()
+    first = mined(chain, now=GENESIS_TIMESTAMP + 15)
+    fan = _fan_out(first.transactions[0].txid)
+    reg = register_tx(chain.state)
+    mined(chain, [fan, reg], address=BOB.address, now=GENESIS_TIMESTAMP + 30)
+    assert make_genesis().header.hash.hex() == \
+        "6f65b607fd18c97b9655af89ae1083d43890e3a60dceb8786bf2e9473e1acf29"
+    assert fan.txid.hex() == "22fd266c45b0f974a41197625cc1c6cdca69645ce8dfed203c1bcfc300843f9d"
+    assert reg.txid.hex() == "db70aa0433fc00729e3212cc2ff1460f9c60c78280c00bb4a808717672590d1a"
+    assert "DDNS/EXAMPLE" in chain.state.assets and len(chain.state.utxos) == 502
+    assert chain.state.digest().hex() == \
+        "bc379add3d7b5333345feea55b2927d0acee3ebc895a8962b125d96cb0d7559d"
 
 
 def test_weight_is_four_per_byte():

@@ -173,3 +173,18 @@ def test_random_zone_canonical_round_trip(addresses, ttl):
     assert parse_control_file(canon) == cf
     for label in records:
         assert cf.entries_at(label)["A"][0].ttl == ttl
+
+
+ALL_TYPES_CANONICAL = serialize_canonical(parse_control_file(fixture_bytes("all_types_zone.json")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_single_byte_mutation_raises_or_parses_to_a_canonical_fixed_point(data):
+    mutated = bytearray(ALL_TYPES_CANONICAL)
+    mutated[data.draw(st.integers(0, len(mutated) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        cf = parse_control_file(bytes(mutated))
+    except ControlFileError:
+        return
+    assert parse_control_file(serialize_canonical(cf)) == cf

@@ -11,6 +11,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
 from ddns import keys
+from ddns.encoding import b58check_encode
 from ddns.errors import InvalidAddressError, InvalidKeyError, InvalidSeedError
 from ddns.keys import (ADDRESS_VERSION, MULTISIG_VERSION, N,
                        Signature, decode_address, decode_point,
@@ -138,11 +139,22 @@ def test_keypair_derives_its_address_once(monkeypatch):
     assert kp == generate_keypair(SEED) and hash(kp) == hash(generate_keypair(SEED))
 
 
+@pytest.mark.parametrize("text", ["not-an-address", "P" * 34, "",
+                                  b58check_encode(0x00, b"\x01" * 20),
+                                  b58check_encode(ADDRESS_VERSION, b"\x01" * 19)])
+def test_a_malformed_address_raises_every_time_and_is_never_cached(text):
+    decode_address(generate_keypair(SEED).address)
+    size = decode_address.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvalidAddressError):
+            decode_address(text)
+        assert decode_address.cache_info().currsize == size
+
+
 def test_decode_address_rejects_garbage():
     with pytest.raises(InvalidAddressError):
         decode_address("not-an-address")
     # valid base58check but wrong version byte
-    from ddns.encoding import b58check_encode
     with pytest.raises(InvalidAddressError):
         decode_address(b58check_encode(0x00, b"\x01" * 20))
 
@@ -291,6 +303,81 @@ def test_fast_multiplications_match_the_ladder(k, sk):
     point = _ladder(G, sk)
     assert keys._to_affine(keys._g_mul(k)) == _ladder(G, k)
     assert keys._to_affine(keys._mul(keys._odd_multiples(point), k)) == _ladder(point, k)
+
+
+# -- the per-key segments ------------------------------------------------------
+
+ONES = (1 << 33) - 1
+# GLV halves at the edges of the 33-bit parts: a single bit at 2^(33j) and
+# the run of ones just below it, an all-ones part, every part but one full
+# (so that part is zero), and halves longer than 132 bits, whose extra bits
+# only the top part holds.
+SEGMENT_HALVES = ([1 << (33 * j) for j in range(4)] + [(1 << (33 * j)) - 1 for j in range(1, 5)]
+                  + [ONES << (33 * j) for j in range(4)]
+                  + [((1 << 132) - 1) ^ (ONES << (33 * j)) for j in range(4)]
+                  + [(1 << 140) - 1, 1 << 159, (1 << 160) - 1, 0x1234567890ABCDEF << 96])
+
+
+def test_segments_at_their_edges():
+    for half in SEGMENT_HALVES:
+        parts = keys._segments(half)
+        assert len(parts) == keys.KEY_SEGMENTS == 4
+        assert sum(p << (33 * j) for j, p in enumerate(parts)) == half
+    assert keys._segments((1 << 132) - 1) == [ONES] * 4
+    assert keys._segments(ONES << 66) == [0, 0, ONES, 0]
+    assert keys._segments(1 << 99) == [0, 0, 0, 1]
+    assert keys._segments((1 << 99) - 1) == [ONES, ONES, ONES, 0]
+    assert keys._segments(1 << 159) == [0, 0, 0, 1 << 60]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 160) - 1))
+def test_the_four_parts_recombine_to_the_half(half):
+    parts = keys._segments(half)
+    assert len(parts) == 4 and all(0 <= p <= ONES for p in parts[:3])
+    assert sum(p << (33 * j) for j, p in enumerate(parts)) == half
+
+
+def test_a_key_table_holds_every_segments_odd_multiples_and_their_lambda_images():
+    odd = keys._odd_multiples(Q)
+    assert keys.KEY_SEGMENTS * 24 * 32 == len(odd) == 3072
+    coords = [int.from_bytes(odd[i:i + 32], "big") for i in range(0, len(odd), 32)]
+    for j in range(4):
+        for m in range(8):
+            x, y, bx = coords[3 * (8 * j + m):3 * (8 * j + m) + 3]
+            assert (x, y) == _ladder(Q, (2 * m + 1) << (33 * j)), (j, m)
+            assert bx == keys.BETA * x % keys.P
+
+
+def _mul_with_halves(monkeypatch, point, k1, k2):
+    """`_mul` with its GLV split replaced, so the halves are chosen directly."""
+    monkeypatch.setattr(keys, "_glv_split", lambda k: (k1, k2))
+    return keys._to_affine(keys._mul(keys._odd_multiples(point), 0))
+
+
+@pytest.mark.parametrize("half", SEGMENT_HALVES)
+def test_mul_matches_the_ladder_at_segment_edges(monkeypatch, half):
+    for k1, k2 in ((half, 0), (0, half), (-half, half), (half, -half), (half, half * 3 >> 2)):
+        expected = _ladder(Q, (k1 + k2 * keys.LAMBDA) % N)
+        assert _mul_with_halves(monkeypatch, Q, k1, k2) == expected, (k1, k2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(-(1 << 160) + 1, (1 << 160) - 1), st.integers(-(1 << 160) + 1, (1 << 160) - 1))
+def test_mul_matches_the_ladder_for_halves_up_to_160_bits(k1, k2):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _mul_with_halves(monkeypatch, Q, k1, k2) == _ladder(Q, (k1 + k2 * keys.LAMBDA) % N)
+
+
+def test_mul_runs_one_doubling_chain_of_at_most_34_steps(monkeypatch):
+    odd = keys._odd_multiples(Q)
+    doublings = []
+    real = keys._jac_double
+    monkeypatch.setattr(keys, "_jac_double", lambda p: doublings.append(1) or real(p))
+    for k in EDGE_SCALARS + [int.from_bytes(keys.sha256(bytes([i])), "big") % N for i in range(20)]:
+        doublings.clear()
+        keys._mul(odd, k)
+        assert len(doublings) <= 34, k
 
 
 # -- the per-key cache and the projective x check ----------------------------

@@ -137,6 +137,43 @@ def test_mx_bare_label_is_zone_relative():
     assert rdata == struct.pack(">H", 5) + b"\x03mx1\x01z\x04ddns\x00"
 
 
+def _all_types_reply() -> bytes:
+    """A reply whose answers carry every record type of the all-types zone."""
+    cf = parse_control_file(fixture_bytes("all_types_zone.json"))
+    zone = cf.domain
+    answers = tuple(record_to_rr(zone if label == "@" else f"{label}.{zone}", rtype, entry, zone)
+                    for label, by_type in cf.records for rtype, entries in by_type
+                    for entry in entries)
+    assert len({rtype for _, by_type in cf.records for rtype, _ in by_type}) == 20
+    return encode_message(DnsMessage(id=7, qr=True, aa=True, questions=(Question(zone, 255),),
+                                     answers=answers))
+
+
+ALL_TYPES_REPLY = _all_types_reply()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_single_byte_mutation_raises_or_decodes_to_a_message_that_round_trips(data):
+    mutated = bytearray(ALL_TYPES_REPLY)
+    mutated[data.draw(st.integers(0, len(mutated) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        msg = decode_message(bytes(mutated))
+    except DnsParseError:
+        return
+    assert decode_message(encode_message(msg)) == msg
+
+
+def test_a_label_holding_a_dot_is_rejected():
+    # "ddns" with its last byte set to "." would decode to "kitchensink.ddn.",
+    # which re-encodes as the different name "kitchensink.ddn".
+    at = ALL_TYPES_REPLY.index(b"\x04ddns\x00") + 4
+    for label in (b"ddn.", b"d.ns", b".dns"):
+        mutated = ALL_TYPES_REPLY[:at - 3] + label + ALL_TYPES_REPLY[at + 1:]
+        with pytest.raises(DnsParseError, match="dot"):
+            decode_message(mutated)
+
+
 def test_decoder_fuzz_never_crashes():
     rng = random.Random(1337)
     for _ in range(20_000):
