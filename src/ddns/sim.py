@@ -6,16 +6,25 @@ mesh with sampled link latencies; every node runs longest-chain with
 first-seen tie-breaking and the smoothed 30-block retarget. Time is
 virtual throughout, so 5,000-block experiments run in seconds. A run is
 fully determined by its seed.
+
+A block's retarget window is its own ancestry, the same on every node, so
+each block carries the difficulty of its successor, computed once when it
+is mined. A gossiped transaction is not an event: its arrival at each peer
+is sampled when it is created and queued in that peer's inbox, which the
+peer drains (skipping what it has already confirmed) when it next fills a
+block, and once more when the event queue runs dry.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .chain import DIFFICULTY_WINDOW, MAX_BLOCK_WEIGHT, TARGET_BLOCK_TIME, reorg_path, retarget
+from .errors import ConfigError
 
 TARGET_INTERVAL = float(TARGET_BLOCK_TIME)
 MINIMAL_TX_WU = 240
@@ -33,6 +42,31 @@ class SimConfig:
     duration_blocks: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        if not _is_int(self.nodes) or self.nodes < 1:
+            raise ConfigError(f"nodes must be an integer >= 1, got {self.nodes!r}")
+        if not _is_int(self.duration_blocks) or self.duration_blocks < 1:
+            raise ConfigError(f"duration_blocks must be an integer >= 1, "
+                              f"got {self.duration_blocks!r}")
+        if not _is_number(self.block_interval) or self.block_interval <= 0:
+            raise ConfigError(f"block_interval must be a finite number > 0, "
+                              f"got {self.block_interval!r}")
+        if not _is_number(self.tx_rate) or self.tx_rate < 0:
+            raise ConfigError(f"tx_rate must be a finite number >= 0, got {self.tx_rate!r}")
+        if not _is_number(self.tx_mix_minimal) or not 0 <= self.tx_mix_minimal <= 1:
+            raise ConfigError(f"tx_mix_minimal must be in [0, 1], got {self.tx_mix_minimal!r}")
+        latency = self.latency_range
+        if not (isinstance(latency, (tuple, list)) and len(latency) == 2
+                and all(map(_is_number, latency)) and 0 <= latency[0] <= latency[1]):
+            raise ConfigError(f"latency_range must be [lo, hi] with 0 <= lo <= hi, "
+                              f"got {latency!r}")
+        shares = self.hash_shares
+        if shares is not None and not (
+                isinstance(shares, (tuple, list)) and len(shares) == self.nodes
+                and all(_is_number(s) and s >= 0 for s in shares) and sum(shares) > 0):
+            raise ConfigError(f"hash_shares must be {self.nodes} non-negative numbers "
+                              f"with a positive sum, got {shares!r}")
+
     def shares(self):
         if self.hash_shares is not None:
             total = sum(self.hash_shares)
@@ -41,11 +75,26 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a simulation config must be an object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown simulation config keys: {', '.join(unknown)}")
         doc = dict(doc)
         for key in ("latency_range", "hash_shares"):
-            if key in doc and doc[key] is not None:
+            if isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
         return cls(**doc)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float (not a bool): JSON can carry NaN and Infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -77,6 +126,7 @@ class SimBlock:
     timestamp: float
     difficulty: float
     ops: tuple = ()
+    next_difficulty: float = 1.0    # of a block mined on this one
 
 
 class SimNode:
@@ -86,20 +136,35 @@ class SimNode:
         self.tip = 0
         self.mempool: set = set()
         self.confirmed: set = set()
+        self.inbox: list = []           # (arrival, op) of gossiped ops
 
-    def next_difficulty(self, interval: float) -> float:
-        difficulties = []
-        timestamps = []
+    def next_difficulty(self) -> float:
+        return self.blocks[self.tip].next_difficulty
+
+    def retarget_after(self, timestamp: float, interval: float) -> float:
+        """`next_difficulty` of a block mined on the tip at `timestamp`: the
+        retarget over that block and the tip's last DIFFICULTY_WINDOW - 1."""
+        difficulties = [self.blocks[self.tip].next_difficulty]
+        timestamps = [timestamp]
         cursor = self.tip
         while cursor != -1 and len(difficulties) < DIFFICULTY_WINDOW:
             block = self.blocks[cursor]
             difficulties.append(block.difficulty)
             timestamps.append(block.timestamp)
             cursor = block.parent
-        if len(difficulties) < 2:
-            return difficulties[-1]
         difficulties.reverse()
         return retarget(difficulties, timestamps, interval)
+
+    def drain_inbox(self, now: float):
+        """Move the ops that have arrived by `now` into the mempool, except
+        those already confirmed on this node's chain."""
+        waiting = []
+        for entry in self.inbox:
+            if entry[0] > now:
+                waiting.append(entry)
+            elif entry[1] not in self.confirmed:
+                self.mempool.add(entry[1])
+        self.inbox = waiting
 
     def branch_set(self, candidate: int):
         """`reorg_path` from the tip to the stored block `candidate`."""
@@ -169,12 +234,11 @@ class Simulation:
     def _schedule_mining(self, node_index: int):
         self._mine_tokens[node_index] += 1
         node = self.nodes[node_index]
-        difficulty = node.next_difficulty(self.config.block_interval)
         rate = self.shares[node_index] * self.hashrate / \
-            (difficulty * self.config.block_interval)
-        delay = self.rng.expovariate(rate)
-        self._push(self.now + delay, "mine",
-                   (node_index, self._mine_tokens[node_index]))
+            (node.next_difficulty() * self.config.block_interval)
+        if rate > 0:    # a node with no hash share never mines
+            self._push(self.now + self.rng.expovariate(rate), "mine",
+                       (node_index, self._mine_tokens[node_index]))
 
     def reschedule_all_mining(self):
         for i in range(self.config.nodes):
@@ -183,6 +247,7 @@ class Simulation:
     # -- handlers -------------------------------------------------------------
 
     def _fill_block(self, node: SimNode):
+        node.drain_inbox(self.now)
         chosen = []
         used = 0
         for op in sorted(node.mempool, key=lambda o: self.op_created.get(o, 0.0)):
@@ -199,9 +264,9 @@ class Simulation:
         node = self.nodes[node_index]
         parent = node.blocks[node.tip]
         block = SimBlock(self._next_block_id, parent.block_id, parent.height + 1,
-                         node_index, self.now,
-                         node.next_difficulty(self.config.block_interval),
-                         self._fill_block(node))
+                         node_index, self.now, parent.next_difficulty,
+                         self._fill_block(node),
+                         node.retarget_after(self.now, self.config.block_interval))
         self._next_block_id += 1
         self.blocks_mined += 1
         node.adopt(block)
@@ -235,7 +300,7 @@ class Simulation:
         self.nodes[origin].mempool.add(op)
         for peer in range(self.config.nodes):
             if peer != origin:
-                self._push(self.now + self._latency(), "tx_recv", (peer, op))
+                self.nodes[peer].inbox.append((self.now + self._latency(), op))
         if self.config.tx_rate > 0 and not self.mining_stopped:
             self._schedule_tx()
 
@@ -262,7 +327,10 @@ class Simulation:
         # slower in the first seven simulations of a process (every `ddns sim`).
         while True:
             if not self._events:
-                break  # queue drained: propagation has settled
+                # Queue drained: propagation has settled, every op has arrived.
+                for node in self.nodes:
+                    node.drain_inbox(math.inf)
+                break
             when, _, kind, data = heapq.heappop(self._events)
             self.now = when
             if kind == "mine":
@@ -271,10 +339,6 @@ class Simulation:
                 self._on_recv(*data)
             elif kind == "tx":
                 self._on_tx(*data)
-            elif kind == "tx_recv":
-                peer, op = data
-                if op not in self.nodes[peer].confirmed:
-                    self.nodes[peer].mempool.add(op)
 
     def report(self) -> SimReport:
         best = max(self.nodes, key=lambda n: n.blocks[n.tip].height)

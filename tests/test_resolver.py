@@ -7,9 +7,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ddns.resolver
-from conftest import fixture_bytes, make_zone
+from conftest import Clock, Stack, fixture_bytes, make_zone
+from ddns.controlfile import parse_control_file, serialize_canonical
+from ddns.keys import generate_keypair
 from ddns.resolver import MAX_CNAME_DEPTH, Resolver, ResolverConfig, serve_doh, serve_udp
 from ddns.wire import (FORMERR, NOERROR, NOTIMP, NXDOMAIN, REFUSED, SERVFAIL,
                        DnsMessage, Question, ResourceRecord, build_query, decode_message,
@@ -192,6 +195,55 @@ def test_tampered_store_object_never_served(stack, alice):
     with open(path, "wb") as fh:
         fh.write(raw)
     assert stack.resolver.resolve("example.ddns", A).rcode == NOERROR
+
+
+@pytest.fixture(scope="module")
+def bound_example(tmp_path_factory):
+    """A stack with example.ddns bound, and the path and bytes of its object."""
+    stack = Stack(str(tmp_path_factory.mktemp("bound")), Clock())
+    cid = stack.register("example.ddns", fixture_bytes("example_zone.json"),
+                         generate_keypair(b"\x01" * 32))
+    path = stack.node.store._path_for(cid)
+    with open(path, "rb") as fh:
+        return stack, path, fh.read()
+
+
+def _mutated(original: bytes):
+    """Random byte-level edits of `original`."""
+    index = st.integers(0, len(original) - 1)
+    return st.one_of(
+        st.tuples(index, st.integers(1, 255)).map(
+            lambda p: original[:p[0]] + bytes([original[p[0]] ^ p[1]]) + original[p[0] + 1:]),
+        st.integers(0, len(original) - 1).map(lambda n: original[:n]),
+        st.tuples(index, st.binary(min_size=1, max_size=8)).map(
+            lambda p: original[:p[0]] + p[1] + original[p[0]:]),
+        st.tuples(index, st.integers(1, 16)).map(
+            lambda p: original[:p[0]] + original[p[0] + p[1]:]),
+        st.binary(max_size=600))
+
+
+_OTHER_ZONES = st.builds(
+    lambda ip, ttl, raw: raw or serialize_canonical(parse_control_file(make_zone(
+        "example.ddns", {"@": {"A": [{"address": ".".join(map(str, ip)), "ttl": ttl}]}}))),
+    st.tuples(*[st.integers(0, 255)] * 4), st.integers(1, 86400),
+    st.sampled_from([None, fixture_bytes("example_zone.json")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_content_that_does_not_match_its_id_is_never_served(bound_example, data):
+    stack, path, original = bound_example
+    replacement = data.draw(st.one_of(_mutated(original), _OTHER_ZONES))
+    assume(replacement != original)
+    with open(path, "wb") as fh:
+        fh.write(replacement)
+    resolver = stack.resolver
+    for qname, rtype in (("example.ddns", "A"), ("www.example.ddns", "A"),
+                         ("mail.example.ddns", "MX"), ("nope.example.ddns", "TXT")):
+        assert resolver.resolve(qname, qtype_code(rtype)).rcode == SERVFAIL
+        reply = resolver.handle_wire_query(encode_message(build_query(qname, rtype, msg_id=7)))
+        assert decode_message(reply).rcode == SERVFAIL
+        assert len(resolver.caches.l1) == 0 and len(resolver.caches.l2) == 0
 
 
 def test_update_coherence_within_l1_ttl(stack, alice):
