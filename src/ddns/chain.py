@@ -825,10 +825,12 @@ def mine_block(mempool, state: ChainState, coinbase_address: str,
     txs = (coinbase,) + tuple(chosen)
     root = merkle_root([tx.txid for tx in txs])
     timestamp = max(now, median_time_past(state.recent_headers) + 1)
+    template = BlockHeader(state.tip, root, timestamp, target, start_nonce, state.height + 1)
+    raw = template.serialize()
+    prefix, suffix = raw[:-16], raw[-8:]  # the nonce is the u64 before the height
     for nonce in range(start_nonce, start_nonce + max_attempts):
-        header = BlockHeader(state.tip, root, timestamp, target, nonce, state.height + 1)
-        if int.from_bytes(header.hash, "big") <= target:
-            return Block(header, txs)
+        if int.from_bytes(sha256d(prefix + struct.pack("<Q", nonce) + suffix), "big") <= target:
+            return Block(replace(template, nonce=nonce), txs)
     return None
 
 

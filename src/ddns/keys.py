@@ -4,24 +4,29 @@ Signing is deterministic (RFC 6979 nonce derivation) and signatures are
 low-s normalized, so serialized transactions are reproducible byte for
 byte across runs.
 
-Scalar multiplication, in pure Python, uses three techniques from
-libsecp256k1:
-- a fixed-base table for G: 32 windows of 8 bits, 255 affine points each,
-  so k * G is at most 32 mixed Jacobian+affine additions and no doublings.
-  The table is built lazily, on the first multiplication by G (about 0.1 s),
-  with one batched (Montgomery) inversion, so commands that never sign or
-  verify do not pay for it;
-- the GLV endomorphism, which splits the public-key scalar u2 into two
-  halves of about 128 bits, k1 + k2 * LAMBDA;
-- a per-key comb: each half is cut into KEY_SEGMENTS = 4 parts of
+Scalar multiplication, in pure Python, takes one of three paths, with
+techniques from libsecp256k1:
+- fixed-base tables, for G and for hot keys: 32 windows of 8 bits, 255
+  affine points each, packed as 32-byte x, y into one 510 KB string, so
+  k * Q is at most 32 mixed Jacobian+affine additions and no doublings.
+  Building one takes about 8,100 additions and one batched (Montgomery)
+  inversion (0.10-0.14 s). G's is built on the first multiplication by G, so
+  commands that never sign or verify do not pay for it; `sign` uses only it;
+- segmented tables, for every other key (the public-key scalar u2 of
+  `verify`): the GLV endomorphism splits u2 into two halves of about 128
+  bits, k1 + k2 * LAMBDA; each half is cut into KEY_SEGMENTS = 4 parts of
   SEGMENT_BITS = 33 bits (the top part takes every remaining bit), and part
-  j runs against a table for Q_j = 2^(33 j) * Q, so all eight parts share
-  one doubling chain of at most 34 steps instead of about 129;
-- width-5 NAF digits for every part, over the odd multiples of its Q_j.
+  j runs width-5 NAF digits against the odd multiples of Q_j = 2^(33 j) * Q,
+  so all eight parts share one doubling chain of at most 34 steps instead
+  of about 129;
+- hot keys: a key's HOT_KEY_VERIFIES-th successful verify builds its own
+  fixed-base table, and from then on `verify` walks G's windows and the
+  key's into one accumulator: at most 64 mixed additions, no doubling chain
+  and no final Jacobian addition, about 0.6x the time of a segmented verify.
 
-Each public key is decoded (a 256-bit modular square root) and its tables
-built at most once while it stays in a bounded LRU cache, keyed by the
-33-byte encoding and shared by `verify`, `derive_address` and
+Each public key is decoded (a 256-bit modular square root) and its
+segmented table built at most once while it stays in a bounded LRU cache,
+keyed by the 33-byte encoding and shared by `verify`, `derive_address` and
 `multisig_address`. An entry holds, for each Q_j, the affine Q_j, 3Q_j, ...,
 15Q_j with their LAMBDA images, made affine with one batched inversion and
 packed into one 3,072-byte string (negation happens at lookup): about 3.2 KB
@@ -29,15 +34,33 @@ per key under tracemalloc, so 13 MB for all KEY_CACHE_SIZE = 4096 keys.
 Building it takes 99 extra doublings, so a key's first verify is dearer
 than with a single table and every later one cheaper; the two even out at
 about two to three verifies per cached key. A malformed key raises
-InvalidKeyError on every call and is never cached. `verify` compares r with
-R's x projectively (X == r * Z^2, or (r + N) * Z^2 when r + N < P), so it
-inverts nothing after the multiplication.
+InvalidKeyError on every call and is never cached.
+
+Promotion to a hot key is a ski-rental choice: renting is a segmented
+verify, buying is the table. On a shared 2-vCPU VM with Python 3.11,
+building it costs 0.10-0.14 s (median 0.12 s) and saves 0.43-0.61 ms on
+each later verify (median 0.48 ms, a hot verify taking 0.59x the time), so
+it pays for itself after 250 to 280 verifies. HOT_KEY_VERIFIES = 256 lies
+in that range, and a key that stops right after promotion costs at most
+about twice the cheaper choice. Only successful verifies count, so neither
+forged signatures nor `derive_address` and `multisig_address` can make a
+key hot, and a key's first verifies cost what they did. The counts are
+kept for at most KEY_CACHE_SIZE keys, least recently counted dropped first.
+Hot tables take 510 KB each and are kept for HOT_KEY_CACHE_SIZE = 16 keys,
+about 8 MB, least recently used dropped first; a dropped key starts
+counting again. The table is built from the point at the head of the key's
+segmented table, so promotion decodes nothing.
+
+`verify` compares r with R's x projectively (X == r * Z^2, or (r + N) * Z^2
+when r + N < P), so it inverts nothing after the multiplication.
 """
 
 from __future__ import annotations
 
 import hmac
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -54,6 +77,7 @@ ADDRESS_VERSION = 0x37      # single-key addresses
 MULTISIG_VERSION = 0x4B     # 2-of-3 policy addresses
 
 _INF = None  # point at infinity marker in Jacobian routines
+_LOW_256 = (1 << 256) - 1
 
 # The secp256k1 endomorphism: LAMBDA * (x, y) == (BETA * x, y) for every point.
 BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
@@ -64,12 +88,15 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-G_WINDOW_BITS = 8
+WINDOW_BITS = 8  # fixed-base tables: 32 windows of 8 bits
+ROW_BYTES = 64 * ((1 << WINDOW_BITS) - 1)  # one window: 255 packed affine points
 WNAF_WIDTH = 5
 KEY_SEGMENTS = 4   # parts per GLV half of u2, each with its own key table
 SEGMENT_BITS = 33  # bits per part; the top part takes every remaining bit
 KEY_CACHE_SIZE = 4096  # public keys whose decoded point and tables are kept
 ADDRESS_CACHE_SIZE = 4096  # addresses kept decoded (text -> bytes) and encoded
+HOT_KEY_VERIFIES = 256  # successful verifies that earn a key its own fixed-base table
+HOT_KEY_CACHE_SIZE = 16  # keys whose fixed-base tables are kept (about 8 MB)
 
 
 def _inv(a: int, m: int) -> int:
@@ -162,37 +189,46 @@ def _batch_affine(points):
     return out
 
 
-_G_TABLE = None
+def _fixed_table(point) -> bytes:
+    """Window i of 32 holds j * 2^(8i) * point for j = 1..255, affine and packed
+    as big-endian 32-byte x, y (510 KB), made affine with one batched inversion."""
+    size = (1 << WINDOW_BITS) - 1
+    points = []
+    base = point
+    for _ in range(256 // WINDOW_BITS):
+        row = [(base[0], base[1], 1)]
+        for _ in range(size - 1):
+            row.append(_madd(row[-1], base))
+        points.extend(row)
+        base = _to_affine(_jac_double(row[size // 2]))  # 2 * (128 * base)
+    return b"".join(c.to_bytes(32, "big") for x, y in _batch_affine(points) for c in (x, y))
 
 
-def _g_table():
-    """Row i holds j * 2^(8i) * G for j = 1..255, affine; built on first use."""
-    global _G_TABLE
-    if _G_TABLE is None:
-        size = (1 << G_WINDOW_BITS) - 1
-        points = []
-        base = (GX, GY)
-        for _ in range(256 // G_WINDOW_BITS):
-            row = [(base[0], base[1], 1)]
-            for _ in range(size - 1):
-                row.append(_madd(row[-1], base))
-            points.extend(row)
-            base = _to_affine(_jac_double(row[size // 2]))  # 2 * (128 * base)
-        flat = _batch_affine(points)
-        _G_TABLE = [flat[i:i + size] for i in range(0, len(flat), size)]
-    return _G_TABLE
+def _fixed_mul(table: bytes, k: int, acc=_INF):
+    """acc + k * point (Jacobian) from `_fixed_table(point)`, 0 <= k < 2^256:
+    one mixed addition per nonzero window, no doublings."""
+    mask = (1 << WINDOW_BITS) - 1
+    row = 0
+    while k:
+        digit = k & mask
+        if digit:
+            at = row + 64 * (digit - 1)
+            xy = int.from_bytes(table[at:at + 64], "big")
+            acc = _madd(acc, (xy >> 256, xy & _LOW_256))
+        k >>= WINDOW_BITS
+        row += ROW_BYTES
+    return acc
+
+
+@lru_cache(maxsize=1)
+def _g_table() -> bytes:
+    """G's fixed-base table, built on the first multiplication by G."""
+    return _fixed_table((GX, GY))
 
 
 def _g_mul(k: int):
-    """k * G (Jacobian) for 0 <= k < 2^256: one table add per nonzero window."""
-    acc = _INF
-    mask = (1 << G_WINDOW_BITS) - 1
-    for row in _g_table():
-        digit = k & mask
-        if digit:
-            acc = _madd(acc, row[digit - 1])
-        k >>= G_WINDOW_BITS
-    return acc
+    """k * G (Jacobian) for 0 <= k < 2^256."""
+    return _fixed_mul(_g_table(), k)
 
 
 def _wnaf(k: int) -> list:
@@ -402,6 +438,40 @@ def _x_is(point, r: int) -> bool:
     return (x - r * zz) % P == 0 or (r + N < P and (x - (r + N) * zz) % P == 0)
 
 
+# Successful verifies per key that is not hot, least recently counted first,
+# and the fixed-base tables of hot keys, least recently used first.
+_successes: OrderedDict = OrderedDict()
+_hot_tables: OrderedDict = OrderedDict()
+_hot_lock = threading.Lock()
+
+
+def _count_success(pk: bytes, odd: bytes):
+    """Count a successful verify by a key that is not hot; the HOT_KEY_VERIFIES-th
+    builds its fixed-base table from the point at the head of its key table."""
+    with _hot_lock:
+        count = _successes.pop(pk, 0) + 1
+        if count < HOT_KEY_VERIFIES:
+            _successes[pk] = count
+            if len(_successes) > KEY_CACHE_SIZE:
+                _successes.popitem(last=False)
+            return
+    table = _fixed_table((int.from_bytes(odd[:32], "big"), int.from_bytes(odd[32:64], "big")))
+    with _hot_lock:
+        _hot_tables[pk] = table
+        _successes.pop(pk, None)  # counted by another thread during the build
+        if len(_hot_tables) > HOT_KEY_CACHE_SIZE:
+            _hot_tables.popitem(last=False)  # it starts counting again
+
+
+def _hot_table(pk: bytes):
+    """The fixed-base table of a hot key, marked as just used, or None."""
+    with _hot_lock:
+        table = _hot_tables.get(pk)
+        if table is not None:
+            _hot_tables.move_to_end(pk)
+        return table
+
+
 def verify(pk: bytes, message: bytes, sig: Signature) -> bool:
     """True iff `sig` validates SHA-256(message) under `pk`.
 
@@ -415,8 +485,15 @@ def verify(pk: bytes, message: bytes, sig: Signature) -> bool:
     w = _inv(sig.s, N)
     u1 = (z * w) % N
     u2 = (sig.r * w) % N
-    pt = _jac_add(_g_mul(u1), _mul(odd, u2))
-    return pt is not _INF and _x_is(pt, sig.r)
+    hot = _hot_table(pk)
+    if hot is not None:
+        pt = _fixed_mul(hot, u2, _g_mul(u1))
+    else:
+        pt = _jac_add(_g_mul(u1), _mul(odd, u2))
+    ok = pt is not _INF and _x_is(pt, sig.r)
+    if ok and hot is None:
+        _count_success(pk, odd)
+    return ok
 
 
 def derive_address(pk: bytes) -> str:

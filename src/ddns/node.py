@@ -281,11 +281,14 @@ class LocalNode:
                 self._append_block(block)
                 # Keep only what the new tip still accepts: a confirmed tx and
                 # its rivals now spend spent outputs or name a taken name or a
-                # stale revision. These objects were verified before, so this
-                # checks no signature again.
+                # stale revision. The tip's own txs are dropped unchecked; the
+                # rest were verified before, so this checks no signature again.
                 state = self.chain.state
-                self.mempool = [tx for tx in self.mempool + result.returned_txs
-                                if validate_transaction(tx, state).ok]
+                pending = self.mempool + result.returned_txs
+                if self.chain.tip_hash == block.header.hash:
+                    carried = {tx.txid for tx in block.transactions}
+                    pending = [tx for tx in pending if tx.txid not in carried]
+                self.mempool = [tx for tx in pending if validate_transaction(tx, state).ok]
                 self._save_mempool()
                 if self.chain.height - self._snapshot_height >= SNAPSHOT_INTERVAL:
                     self._write_snapshot()

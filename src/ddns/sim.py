@@ -227,10 +227,6 @@ class Simulation:
         heapq.heappush(self._events, (when, self._seq, kind, data))
         self._seq += 1
 
-    def _latency(self) -> float:
-        lo, hi = self.config.latency_range
-        return self.rng.uniform(lo, hi) if hi > lo else lo
-
     def _schedule_mining(self, node_index: int):
         self._mine_tokens[node_index] += 1
         node = self.nodes[node_index]
@@ -271,9 +267,12 @@ class Simulation:
         self.blocks_mined += 1
         node.adopt(block)
         self.on_block(block, node_index)
+        lo, hi = self.config.latency_range
         for peer in range(self.config.nodes):
             if peer != node_index:
-                self._push(self.now + self._latency(), "recv", (peer, block))
+                # uniform(lo, hi) inline, as it computes it; no draw when hi <= lo
+                delay = lo + (hi - lo) * self.rng.random() if hi > lo else lo
+                self._push(self.now + delay, "recv", (peer, block))
         if self.blocks_mined >= self.config.duration_blocks:
             self.mining_stopped = True
         else:
@@ -298,9 +297,11 @@ class Simulation:
         self.op_weight[op] = weight
         self.op_created[op] = self.now
         self.nodes[origin].mempool.add(op)
-        for peer in range(self.config.nodes):
-            if peer != origin:
-                self.nodes[peer].inbox.append((self.now + self._latency(), op))
+        lo, hi = self.config.latency_range
+        random, now = self.rng.random, self.now
+        for peer, node in enumerate(self.nodes):
+            if peer != origin:  # the per-peer latency as in `_on_mine`
+                node.inbox.append((now + (lo + (hi - lo) * random() if hi > lo else lo), op))
         if self.config.tx_rate > 0 and not self.mining_stopped:
             self._schedule_tx()
 

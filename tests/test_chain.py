@@ -352,6 +352,43 @@ def test_validate_block_rejects_future_timestamp():
 
 # -- mempool selection --------------------------------------------------------
 
+def _search_by_header(template: Block, start: int, attempts: int):
+    """The nonce search as it was: one frozen header, serialized, per attempt."""
+    for nonce in range(start, start + attempts):
+        header = replace(template.header, nonce=nonce)
+        if int.from_bytes(header.hash, "big") <= header.difficulty_target:
+            return header
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mine_block_finds_the_nonce_a_header_per_attempt_finds(seed):
+    rng = random.Random(seed)
+    chain = Chain(make_genesis(target=MAX_TARGET >> rng.choice([1, 5, 7])))
+    for _ in range(rng.randint(0, 3)):
+        mined(chain, now=chain.state.recent_headers[-1].timestamp + 15)
+    state = chain.state
+    mempool = [register_tx(state, name=f"DDNS/MINE{seed}X{i}", nonce=i) for i in range(rng.randint(0, 2))]
+    address = rng.choice([ALICE, BOB]).address
+    now = state.recent_headers[-1].timestamp + rng.randint(-100, 100)
+    template = mine_block(mempool, state, address, now=now, start_nonce=rng.randrange(1 << 40))
+    first = _search_by_header(template, 0, 1 << 20).nonce
+    windows = [(0, first), (0, first + 1), (first, 1), (first + 1, 1), (first + 1, 2000),
+               ((1 << 64) - 300, 300)]
+    windows += [(rng.randrange(1 << 32), rng.randint(1, 400)) for _ in range(8)]
+    results = set()
+    for start, attempts in windows:
+        expected = _search_by_header(template, start, attempts)
+        block = mine_block(mempool, state, address, now=now, start_nonce=start, max_attempts=attempts)
+        if expected is None:
+            assert block is None, (start, attempts)
+        else:
+            assert block.header == expected and block.transactions == template.transactions
+            assert block.header.hash == sha256d(expected.serialize())
+        results.add(expected is None)
+    assert results == {True, False}
+
+
 def test_select_transactions_orders_by_fee_rate():
     chain = fresh_chain()
     mined(chain)

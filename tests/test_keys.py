@@ -453,3 +453,189 @@ def test_the_projective_check_accepts_an_x_that_is_r_plus_n():
     # and for an ordinary x < N, which matches only itself
     gx = (keys.GX * 9 % P, keys.GY * 27 % P, 3)
     assert keys._x_is(gx, keys.GX) and not keys._x_is(gx, keys.GX + 1)
+
+
+# -- hot keys: a fixed-base table after HOT_KEY_VERIFIES successful verifies --
+
+@pytest.fixture
+def no_hot_keys():
+    keys._successes.clear()
+    keys._hot_tables.clear()
+    yield
+    keys._successes.clear()
+    keys._hot_tables.clear()
+
+
+@pytest.fixture(scope="module")
+def q_table():
+    return keys._fixed_table(Q)
+
+
+def test_a_fixed_table_holds_every_windows_multiples(q_table):
+    assert len(q_table) == 32 * 255 * 64 == 32 * keys.ROW_BYTES
+    for i in (0, 1, 17, 31):
+        for j in (1, 2, 128, 255):
+            at = i * keys.ROW_BYTES + 64 * (j - 1)
+            x, y = (int.from_bytes(q_table[at + c:at + c + 32], "big") for c in (0, 32))
+            assert (x, y) == _ladder(Q, j << (8 * i)), (i, j)
+
+
+@pytest.mark.parametrize("k", EDGE_SCALARS + [(1 << 256) - 1, 0xFF << 248, 0x0101 << 100])
+def test_the_fixed_base_multiply_matches_the_ladder(q_table, k):
+    assert keys._to_affine(keys._fixed_mul(q_table, k)) == _ladder(Q, k)
+    # into an accumulator, as a hot verify adds u2 * Q to u1 * G
+    u1 = (k * 7 + 3) % N
+    expected = _affine_add(_ladder(G, u1), _ladder(Q, k))
+    assert keys._to_affine(keys._fixed_mul(q_table, k, keys._g_mul(u1))) == expected
+
+
+def _cases(sk: int, pk: bytes, messages):
+    """(message, r, s) for our and the oracle's signatures, each also with r, s
+    or the message tampered."""
+    out = []
+    for message in messages:
+        ours = sign(sk, message)
+        r, s = decode_dss_signature(_oracle_private(sk).sign(message, ec.ECDSA(hashes.SHA256())))
+        for sig_r, sig_s in ((ours.r, ours.s), (r, s)):
+            out += [(message, sig_r, sig_s), (message, sig_r ^ 1, sig_s), (message, sig_r, sig_s ^ 1),
+                    (message + b"!", sig_r, sig_s), (message, sig_r, N - sig_s)]
+    return out
+
+
+def test_a_hot_key_agrees_with_the_oracle_before_and_after_promotion(no_hot_keys, monkeypatch):
+    sk = int.from_bytes(keys.sha256(b"hot key"), "big") % N
+    pk = generate_keypair(sk.to_bytes(32, "big")).public_key
+    cases = _cases(sk, pk, [b"", b"update", bytes(range(90))])
+    expected = [_oracle_verify(pk, m, r, s) for m, r, s in cases]
+    assert any(expected) and not all(expected)
+    before = [verify(pk, m, Signature(r, s)) for m, r, s in cases]
+    assert before == expected and pk not in keys._hot_tables
+    # Every successful verify counts, so the key turns hot at its 256th.
+    successes = sum(expected)
+    sig = sign(sk, b"update")
+    while successes < keys.HOT_KEY_VERIFIES - 1:
+        assert verify(pk, b"update", sig) and pk not in keys._hot_tables
+        successes += 1
+    calls = []
+    real = keys.decode_point
+    monkeypatch.setattr(keys, "decode_point", lambda data: calls.append(data) or real(data))
+    assert verify(pk, b"update", sig)
+    assert pk in keys._hot_tables and pk not in keys._successes
+    assert calls == []  # promotion reuses the key table's point
+    # From now on the key's verifies run no segmented multiply.
+    monkeypatch.setattr(keys, "_mul", None)
+    after = [verify(pk, m, Signature(r, s)) for m, r, s in cases]
+    assert after == expected
+    for sig_r, sig_s in _variants(sig.r, sig.s):
+        assert verify(pk, b"update", Signature(sig_r, sig_s)) == _oracle_verify(pk, b"update", sig_r, sig_s)
+
+
+def test_failing_verifies_and_address_calls_never_promote_a_key(no_hot_keys, monkeypatch):
+    monkeypatch.setattr(keys, "HOT_KEY_VERIFIES", 3)
+    kps = [generate_keypair(bytes([i]) * 32) for i in (21, 22, 23)]
+    pk = kps[0].public_key
+    sig = sign(kps[0].secret_key, b"msg")
+    for _ in range(10):
+        assert not verify(pk, b"msg!", sig)
+        assert not verify(pk, b"msg", Signature(sig.r ^ 1, sig.s))
+        assert not verify(pk, b"msg", Signature(sig.r, sig.s ^ 1))
+        assert not verify(pk, b"msg", Signature(0, sig.s))
+        assert not verify(kps[1].public_key, b"msg", sig)  # another key's signature
+        keys.derive_address(pk)
+        multisig_address([kp.public_key for kp in kps])
+    assert not keys._hot_tables and not keys._successes
+    for count in (1, 2):
+        assert verify(pk, b"msg", sig)
+        assert keys._successes[pk] == count and not keys._hot_tables
+    assert verify(pk, b"msg", sig)
+    assert list(keys._hot_tables) == [pk]
+
+
+def test_the_hot_tables_keep_at_most_their_cap_and_a_dropped_key_earns_promotion_again(
+        no_hot_keys, monkeypatch):
+    monkeypatch.setattr(keys, "HOT_KEY_VERIFIES", 2)
+    monkeypatch.setattr(keys, "HOT_KEY_CACHE_SIZE", 3)
+    kps = [generate_keypair(bytes([i]) * 32) for i in range(31, 36)]
+    sigs = [sign(kp.secret_key, b"msg") for kp in kps]
+    pks = [kp.public_key for kp in kps]
+
+    def check(i):
+        assert verify(pks[i], b"msg", sigs[i])
+        assert len(keys._hot_tables) <= 3
+
+    for i in range(3):
+        check(i)
+        check(i)
+    assert list(keys._hot_tables) == pks[:3]
+    check(0)  # a hot verify makes key 0 the most recently used
+    check(3)
+    check(3)
+    assert list(keys._hot_tables) == [pks[2], pks[0], pks[3]]  # key 1 dropped
+    check(1)
+    assert pks[1] not in keys._hot_tables and keys._successes[pks[1]] == 1
+    check(1)
+    assert list(keys._hot_tables) == [pks[0], pks[3], pks[1]]  # key 2 dropped
+    assert pks[1] not in keys._successes
+
+
+def test_success_counts_are_kept_for_at_most_key_cache_size_keys(no_hot_keys, monkeypatch):
+    monkeypatch.setattr(keys, "HOT_KEY_VERIFIES", 3)
+    monkeypatch.setattr(keys, "KEY_CACHE_SIZE", 2)
+    kps = [generate_keypair(bytes([i]) * 32) for i in (41, 42, 43)]
+    sigs = [sign(kp.secret_key, b"msg") for kp in kps]
+    for order in ([0, 0, 1, 2], [0, 0]):  # key 0 is dropped at key 2's count
+        for i in order:
+            assert verify(kps[i].public_key, b"msg", sigs[i])
+        assert len(keys._successes) <= 2
+    assert not keys._hot_tables and keys._successes[kps[0].public_key] == 2
+
+
+def test_a_success_counted_while_the_table_is_built_leaves_no_count(no_hot_keys, monkeypatch):
+    monkeypatch.setattr(keys, "HOT_KEY_VERIFIES", 2)
+    kp = generate_keypair(bytes([61]) * 32)
+    sig = sign(kp.secret_key, b"msg")
+    real = keys._fixed_table
+
+    def build(point):  # another thread's verify lands while this one builds
+        assert verify(kp.public_key, b"msg", sig) and keys._successes[kp.public_key] == 1
+        return real(point)
+
+    monkeypatch.setattr(keys, "_fixed_table", build)
+    assert verify(kp.public_key, b"msg", sig) and verify(kp.public_key, b"msg", sig)
+    assert list(keys._hot_tables) == [kp.public_key] and not keys._successes
+
+
+def test_concurrent_verifies_keep_the_hot_bookkeeping_consistent(no_hot_keys, monkeypatch):
+    import sys
+    import threading
+    monkeypatch.setattr(keys, "HOT_KEY_VERIFIES", 3)
+    monkeypatch.setattr(keys, "HOT_KEY_CACHE_SIZE", 2)
+    kps = [generate_keypair(bytes([i]) * 32) for i in range(51, 55)]
+    sigs = [sign(kp.secret_key, b"msg") for kp in kps]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(12):
+                k = (i + offset) % len(kps)
+                pk = kps[k].public_key
+                if not verify(pk, b"msg", sigs[k]) or verify(pk, b"msh", sigs[k]):
+                    errors.append(k)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < len(keys._hot_tables) <= 2 and not set(keys._hot_tables) & set(keys._successes)
+    for pk, table in keys._hot_tables.items():
+        assert encode_point((int.from_bytes(table[:32], "big"), int.from_bytes(table[32:64], "big"))) == pk

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import random
 import struct
 
 import pytest
@@ -269,6 +270,84 @@ def test_block_drops_the_mempool_txs_it_makes_invalid(tmp_path):
     assert node.state.assets["DDNS/RACE"].ipfs_hash == first.asset_op.new_content_id
     assert node.mempool == []
     assert json.loads((tmp_path / "mempool.json").read_text()) == []
+
+
+CAROL = generate_keypair(b"\x03" * 32)
+
+
+def _random_op(rng, state, counter):
+    """A signed register, update or transfer against `state`, or None."""
+    owners = {kp.address: kp for kp in (ALICE, BOB, CAROL)}
+    names = sorted(name for name, asset in state.assets.items() if asset.owner_address in owners)
+    kind = rng.choice(["register", "register", "update", "update", "transfer"]) if names else "register"
+    nonce = 1000 + counter
+    if kind == "register":
+        root = rng.choice(["DDNS", "DDNS", "PHI"])
+        return registry.register_domain(f"{root}/N{counter}", CID, rng.choice(list(owners.values())),
+                                        state, nonce=nonce)
+    name = rng.choice(names)
+    owner = owners[state.assets[name].owner_address]
+    if kind == "update":
+        return registry.update_domain(name, content_id_of(b"zone %d" % counter), owner, state, nonce=nonce)
+    return registry.transfer_domain(name, rng.choice(list(owners)), owner, state, nonce=nonce)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_mempool_after_each_block_is_what_full_revalidation_keeps(tmp_path, monkeypatch, seed):
+    """Dropping the tip's own txs unchecked leaves the mempool a full
+    re-validation of the old mempool and the returned txs would leave, over
+    submits, mines and 2-block reorgs."""
+    from ddns.chain import validate_transaction
+    rng = random.Random(seed)
+    seen = {"blocks": [], "carried": 0, "kept": 0, "reorgs": 0}
+    real = LocalNode.accept_block
+
+    def checked(self, block, now=None):
+        before = list(self.mempool)
+        result = real(self, block, now)
+        if self is node and result.accepted:
+            seen["blocks"].append(block)
+            pending = before + result.returned_txs
+            assert self.mempool == [tx for tx in pending if validate_transaction(tx, self.state).ok]
+            txids = {tx.txid for tx in block.transactions}
+            seen["carried"] += self.chain.tip_hash == block.header.hash and any(
+                tx.txid in txids for tx in pending)
+            seen["kept"] += bool(self.mempool)
+            seen["reorgs"] += result.reorged
+        return result
+
+    monkeypatch.setattr(LocalNode, "accept_block", checked)
+    node = LocalNode(NodeConfig(data_dir=str(tmp_path / "node")))
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    _mine_at(node, 2)
+    synced = 0
+    for step in range(40):
+        action = rng.choice(["submit"] * 5 + ["mine"] * 2 + ["reorg"])
+        if action == "submit":
+            for j in range(rng.randint(1, 3)):
+                try:
+                    tx = _random_op(rng, node.state, step * 10 + j)
+                    node.submit_transaction(tx)
+                except DdnsError:
+                    continue
+                if rng.random() < 0.5:  # the rival may carry it too
+                    try:
+                        rival.submit_transaction(tx)
+                    except DdnsError:
+                        pass
+        elif action == "mine":
+            _mine_at(node, 1)
+        else:  # the rival syncs to the tip's parent and orphans the tip
+            for block in seen["blocks"][synced:-1]:
+                rival.accept_block(block, now=block.header.timestamp)
+            synced = len(seen["blocks"]) - 1
+            if rival.chain.tip_hash != node.chain.blocks[node.chain.tip_hash].header.previous_hash:
+                continue
+            _mine_at(rival, 2, BOB.address)
+            tip = rival.chain.blocks[rival.chain.tip_hash]
+            for block in (rival.chain.blocks[tip.header.previous_hash], tip):
+                node.accept_block(block, now=block.header.timestamp)
+    assert seen["carried"] and seen["kept"] and seen["reorgs"]
 
 
 def test_a_signed_op_is_verified_once_from_submit_to_block(tmp_path, verify_calls):

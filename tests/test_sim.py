@@ -157,6 +157,21 @@ def test_outputs_match_the_pinned_digests(name, config, shock, digest):
     assert _final_digest(simulation) == digest
 
 
+# A fixed latency (lo == hi) draws no random number per message, so these
+# depend on the order of the draws that remain; computed by the simulator that
+# drew each latency through `random.uniform`.
+FIXED_LATENCY = [((0.1, 0.1), 11, "da11a59a1e30dbbd"), ((0.0, 0.0), 12, "333343eea4e4bf28"),
+                 ((2.0, 2.0), 13, "3af4947e3dc1d545")]
+
+
+@pytest.mark.parametrize("latency,seed,digest", FIXED_LATENCY)
+def test_a_fixed_latency_draws_nothing_and_matches_its_pinned_digest(latency, seed, digest):
+    simulation = Simulation(SimConfig(duration_blocks=300, seed=seed, tx_rate=1.0,
+                                      latency_range=latency))
+    simulation.run()
+    assert _final_digest(simulation) == digest
+
+
 def test_a_node_without_hash_share_never_mines():
     sim = Simulation(SimConfig(nodes=3, hash_shares=(1, 0, 1), duration_blocks=60,
                                seed=2, tx_rate=1.0))
