@@ -276,22 +276,25 @@ class LocalNode:
 
     def accept_block(self, block: Block, now: int | None = None):
         with self._lock:
+            old_tip = self.chain.tip_hash
             result = self.chain.add_block(block, now=now)
             if result.accepted:
                 self._append_block(block)
-                # Keep only what the new tip still accepts: a confirmed tx and
-                # its rivals now spend spent outputs or name a taken name or a
-                # stale revision. The tip's own txs are dropped unchecked; the
-                # rest were verified before, so this checks no signature again.
-                state = self.chain.state
-                pending = self.mempool + result.returned_txs
-                if self.chain.tip_hash == block.header.hash:
-                    carried = {tx.txid for tx in block.transactions}
-                    pending = [tx for tx in pending if tx.txid not in carried]
-                self.mempool = [tx for tx in pending if validate_transaction(tx, state).ok]
-                self._save_mempool()
-                if self.chain.height - self._snapshot_height >= SNAPSHOT_INTERVAL:
-                    self._write_snapshot()
+            if not result.accepted or self.chain.tip_hash == old_tip:
+                return result  # a side block that does not win changes no state
+            # Keep only what the new tip still accepts: a confirmed tx and its
+            # rivals now spend spent outputs or name a taken name or a stale
+            # revision. The tip's own txs are dropped unchecked; the rest were
+            # verified before, so this checks no signature again.
+            state = self.chain.state
+            pending = self.mempool + result.returned_txs
+            if self.chain.tip_hash == block.header.hash:
+                carried = {tx.txid for tx in block.transactions}
+                pending = [tx for tx in pending if tx.txid not in carried]
+            self.mempool = [tx for tx in pending if validate_transaction(tx, state).ok]
+            self._save_mempool()
+            if self.chain.height - self._snapshot_height >= SNAPSHOT_INTERVAL:
+                self._write_snapshot()
             return result
 
     def mine(self, blocks: int, coinbase_address: str, now: int | None = None):

@@ -4,16 +4,16 @@ Resolution path for a managed name: L1 -> chain lookup of the domain's
 content id -> L2 (the domain's parsed control file, under that content id)
 -> content store fetch, integrity check and parse -> record query ->
 respond and populate caches. Each L1 entry holds only a name's own records,
-from its own domain's control file, so it depends on exactly one content id;
-`Resolver.resolve` follows CNAMEs itself, one cached name at a time. After a
-confirmed update, a name is served stale for at most the L1 TTL (15 s):
-every L1 miss reads the binding from the chain, and L2 serves a file only
-under the content id just read, so only an L1 entry can hold an old answer.
-Once `notice_update` names any name under the domain, nothing stale is
-served for that domain. Non-managed TLDs are forwarded upstream over UDP,
-outside the resolver lock, or answered REFUSED when no upstream is
-configured. A store payload whose hash mismatches its on-chain content id,
-or that does not parse, is answered SERVFAIL and never cached.
+from its own domain's control file, so it depends on exactly one content id,
+and a hit is served only while the published view still binds that id;
+`Resolver.resolve` follows CNAMEs itself, one cached name at a time. So an
+answer follows the chain from the first resolve after `add_block` publishes
+the view, with no TTL and no `notice_update`. `stats["chain_reads"]` counts
+binding lookups on an L1 miss; a hit's check reads the view directly.
+Non-managed TLDs are forwarded upstream over UDP, outside the resolver lock,
+or answered REFUSED when no upstream is configured. A store payload whose
+hash mismatches its on-chain content id, or that does not parse, is
+answered SERVFAIL and never cached.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from urllib.parse import parse_qs, urlparse
 from . import registry
 from .cache import CacheHierarchy, domain_of
 from .controlfile import parse_control_file, query_records
-from .errors import CorruptionError, DnsParseError, NotFoundError, StoreUnavailableError
+from .errors import (CorruptionError, DdnsError, DnsParseError, NotFoundError,
+                     StoreUnavailableError)
 from .wire import (CLASS_IN, DnsMessage, FORMERR, NOERROR, NOTIMP, NXDOMAIN,
                    REFUSED, SERVFAIL, Question, TYPE_CODES, TYPE_NAMES,
                    decode_message, decode_name, encode_message, record_to_rr,
@@ -99,8 +100,7 @@ class Resolver:
         return self._forward(qname, qtype)
 
     def notice_update(self, dns_name: str):
-        """Flush both tiers for a name's whole domain (called on observed
-        chain updates)."""
+        """Drop a name's domain from L2; kept while benchmark/ledger.py calls it."""
         with self._lock:
             self.caches.invalidate(dns_name)
 
@@ -112,17 +112,18 @@ class Resolver:
     def _resolve_cached(self, qname: str, qtype: int) -> Answer:
         """A managed name's own answer, from the caches or its control file."""
         l1_key = (qname, qtype)
-        answer = self.caches.l1.get(l1_key)
+        view = self.chain_view()
+        answer = self.caches.l1.get(l1_key, view.assets)
         if answer is not None:
             self.stats["l1_hits"] += 1
             return answer
-        binding = self._binding(qname)
-        if binding is None:
-            # Negative answers are cached in L1 only, short TTL.
+        asset_name, content_id = self._binding(qname, view)
+        if content_id is None:
+            # Negative answers are cached in L1 only.
             answer = Answer(NXDOMAIN)
-            self.caches.l1.put(l1_key, answer)
+            self.caches.l1.put(l1_key, answer, asset_name)
             return answer
-        domain, label, content_id = binding
+        domain = domain_of(qname)
         cf = self.caches.l2.get(domain, content_id)
         if cf is not None:
             self.stats["l2_hits"] += 1
@@ -132,26 +133,26 @@ class Resolver:
                 return Answer(SERVFAIL)
             self.caches.l2.put(domain, content_id, cf)
         rtype_name = TYPE_NAMES.get(qtype)
+        label = ".".join(qname.split(".")[:-2]) or "@"
         entries = query_records(cf, label, rtype_name) if rtype_name else ()
         answer = Answer(NOERROR, tuple(record_to_rr(qname, entry.rtype, entry, cf.domain)
                                        for entry in entries))
-        self.caches.l1.put(l1_key, answer)
+        self.caches.l1.put(l1_key, answer, asset_name, content_id)
         return answer
 
-    def _binding(self, qname: str):
-        """Current on-chain (domain, label, content id) for a qname, or None."""
-        labels = qname.split(".")
-        if len(labels) < 2:
-            return None
-        domain = domain_of(qname)
+    def _binding(self, qname: str, view):
+        """The asset name that binds a qname and the content id `view` binds
+        it to (None: unbound); (None, None) for a name that can never be
+        bound."""
+        if "." not in qname:
+            return None, None
         self.stats["chain_reads"] += 1
         try:
-            asset = registry.lookup_domain(self.chain_view(), domain)
-        except Exception:
-            return None
-        if asset is None or asset.ipfs_hash is None:
-            return None
-        return domain, ".".join(labels[:-2]) or "@", asset.ipfs_hash
+            asset_name = registry.dns_to_asset(domain_of(qname))
+            asset = registry.lookup_domain(view, asset_name)
+        except DdnsError:
+            return None, None
+        return asset_name, None if asset is None else asset.ipfs_hash
 
     def _control_file(self, qname: str, domain: str, content_id: str):
         """The domain's control file from the store, verified and parsed, or

@@ -69,31 +69,12 @@ def node(tmp_path):
     return LocalNode(NodeConfig(data_dir=str(tmp_path / "node")))
 
 
-class Clock:
-    """Deterministic monotonic clock for cache TTL tests."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, seconds):
-        self.t += seconds
-
-
-@pytest.fixture
-def clock():
-    return Clock()
-
-
 class Stack:
-    """A node plus a resolver wired to it, on a fake clock."""
+    """A node plus a resolver wired to it."""
 
-    def __init__(self, base_dir, clock):
-        self.clock = clock
+    def __init__(self, base_dir):
         self.node = LocalNode(NodeConfig(data_dir=os.path.join(base_dir, "node")))
-        self.caches = CacheHierarchy(clock=clock)
+        self.caches = CacheHierarchy()
         self.resolver = Resolver(self.node.config.resolver, self.node.chain_view,
                                  self.node.store, self.caches)
 
@@ -115,8 +96,8 @@ class Stack:
 
 
 @pytest.fixture
-def stack(tmp_path, clock):
-    return Stack(str(tmp_path), clock)
+def stack(tmp_path):
+    return Stack(str(tmp_path))
 
 
 def make_zone(domain: str, records: dict) -> bytes:

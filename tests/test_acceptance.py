@@ -46,8 +46,8 @@ def test_criterion_01_throughput_table():
     _report(1, ok, f"minimal={minimal:.1f} regular={regular:.1f}")
 
 
-def test_criterion_02_reference_fixture_fidelity(tmp_path, clock):
-    stack = Stack(str(tmp_path), clock)
+def test_criterion_02_reference_fixture_fidelity(tmp_path):
+    stack = Stack(str(tmp_path))
     stack.register("example.ddns", fixture_bytes("example_zone.json"), ALICE)
     asset = stack.node.state.assets["DDNS/EXAMPLE"]
     doc = asset.to_dict()
@@ -109,7 +109,7 @@ def test_criterion_03_ownership_integrity():
             f"forged accepted={forged_accepted}/1000 legit={legit_accepted}/100")
 
 
-def test_criterion_04_content_integrity(tmp_path, clock):
+def test_criterion_04_content_integrity(tmp_path):
     rng = random.Random(7)
     tamper_missed = 0
     for i in range(1000):
@@ -134,7 +134,7 @@ def test_criterion_04_content_integrity(tmp_path, clock):
         if verify_integrity(cid, bytes(tampered)):
             tamper_missed += 1
     # fault injection: a tampered store object is never served, cold or warm
-    stack = Stack(str(tmp_path), clock)
+    stack = Stack(str(tmp_path))
     stack.register("victim.ddns", fixture_bytes("example_zone.json"), ALICE)
     served_tampered = 0
     cid = stack.node.state.assets["DDNS/VICTIM"].ipfs_hash
@@ -167,8 +167,8 @@ def test_criterion_05_end_to_end_propagation():
     _report(5, within >= 95, f"{within}/100 within 2 block intervals")
 
 
-def test_criterion_06_cache_effectiveness(tmp_path, clock):
-    stack = Stack(str(tmp_path), clock)
+def test_criterion_06_cache_effectiveness(tmp_path):
+    stack = Stack(str(tmp_path))
     pairs = []
     for i in range(25):
         name = f"site{i}.ddns"
@@ -274,13 +274,13 @@ def test_criterion_09_wire_interop():
             f"crashes={crashes}")
 
 
-def test_criterion_10_record_type_coverage(tmp_path, clock):
+def test_criterion_10_record_type_coverage(tmp_path):
     from ddns.controlfile import RECORD_TYPES, validate_record
     from ddns.wire import record_to_rr
     from test_controlfile import REJECTS
 
     cf = parse_control_file(fixture_bytes("all_types_zone.json"))
-    stack = Stack(str(tmp_path), clock)
+    stack = Stack(str(tmp_path))
     stack.register("kitchensink.ddns", fixture_bytes("all_types_zone.json"), ALICE)
     covered = set()
     problems = []

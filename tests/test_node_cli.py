@@ -350,6 +350,23 @@ def test_the_mempool_after_each_block_is_what_full_revalidation_keeps(tmp_path, 
     assert seen["carried"] and seen["kept"] and seen["reorgs"]
 
 
+def test_a_losing_side_block_leaves_the_mempool_unchecked(tmp_path, monkeypatch):
+    node = LocalNode(NodeConfig(data_dir=str(tmp_path / "node")))
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    _mine_at(node, 2)
+    _mine_at(rival, 1, BOB.address)
+    node.submit_transaction(registry.register_domain("DDNS/PENDING", CID, ALICE, node.state,
+                                                     nonce=1))
+    before, tip = node.mempool, node.chain.tip_hash
+    calls = []
+    monkeypatch.setattr(node_module, "validate_transaction",
+                        lambda *args: calls.append(args))
+    side = rival.chain.blocks[rival.chain.tip_hash]
+    result = node.accept_block(side, now=side.header.timestamp)
+    assert result.accepted and node.chain.tip_hash == tip
+    assert calls == [] and node.mempool is before and len(before) == 1
+
+
 def test_a_signed_op_is_verified_once_from_submit_to_block(tmp_path, verify_calls):
     config = NodeConfig(data_dir=str(tmp_path))
     node = LocalNode(config)
