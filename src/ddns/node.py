@@ -9,7 +9,7 @@ The data directory holds:
   spent, the asset values it replaced and its txids), framed the same way, each
   record led by its block's hash. It is appended when a snapshot is
   written, so a reorg after a restart can disconnect blocks the snapshot
-  covers.
+  covers; the same write first cuts off records that no snapshot covers.
 - `chainstate.snap`: the tip's UTXO and asset maps with the tip hash,
   height and state digest, and the `blocks.dat` and `undo.dat` lengths it
   covers, written atomically at the end of an open that replayed at least
@@ -25,13 +25,14 @@ undo records gets one warning and is deleted, and the open replays
 as Bitcoin Core trusts its chainstate: the digest catches corruption, not
 forgery, so whoever can write the data directory can change the state.
 
-The mempool is kept in two files: `mempool.json`, a JSON list of tx hex
-written atomically, and `mempool.log`, txs submitted since, one JSON string
-per line. A submit appends one line, not a rewrite of every pending tx.
-Opening the node and accepting a block write the mempool to the list when it
-differs from what the list holds. Opening the node then deletes the log; a
-block leaves it until it passes MEMPOOL_LOG_LIMIT, since a logged tx that a
-block confirmed no longer validates and is dropped on the next open.
+The mempool is kept in `mempool.log`, one JSON string of tx hex per line,
+appended on each submit. An open keeps each logged tx at its last place and
+keeps the ones the tip accepts. That is the live mempool, since a tx that a
+block confirms or makes invalid stays invalid while the tip only grows; so
+a reorg, and a log over MEMPOOL_LOG_LIMIT, rewrite the log atomically to
+hold exactly the mempool. A `mempool.json` left by earlier versions is not
+read. An open writes nothing unless it repairs: a torn `blocks.dat` tail, an
+unusable snapshot (deleted), or a replay of SNAPSHOT_INTERVAL blocks.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ KEY_FILE_MAGIC = b"DDNSKEY1"
 # transactions; its header and the 4-byte length before each tx (never longer
 # than the tx) add less than that again.
 MAX_RECORD_BYTES = 2 * (MAX_BLOCK_WEIGHT // WEIGHT_PER_BYTE)
-# About 1,500 records. Creating the log again after every block cost the
-# submits more than their appends did.
+# About 1,500 records. Rewriting the log after every block cost the submits
+# more than their appends did.
 MEMPOOL_LOG_LIMIT = 1 << 20
 # Blocks of height between snapshots, and the replay that earns one at open.
 # A snapshot costs a JSON dump of the whole state and a rename over the old
@@ -118,9 +119,7 @@ class LocalNode:
         self._blocks_path = os.path.join(config.data_dir, "blocks.dat")
         self._undo_path = os.path.join(config.data_dir, "undo.dat")
         self._snapshot_path = os.path.join(config.data_dir, "chainstate.snap")
-        self._mempool_path = os.path.join(config.data_dir, "mempool.json")
         self._mempool_log_path = os.path.join(config.data_dir, "mempool.log")
-        self._saved_mempool = None
         self._load()
 
     # -- persistence ----------------------------------------------------------
@@ -150,10 +149,6 @@ class LocalNode:
         if len(spans) - covered >= SNAPSHOT_INTERVAL:
             self._write_snapshot()
         stored = []
-        if os.path.exists(self._mempool_path):
-            with open(self._mempool_path) as fh:
-                self._saved_mempool = json.load(fh)
-            stored += self._saved_mempool
         if os.path.exists(self._mempool_log_path):
             with open(self._mempool_log_path) as fh:
                 for line in fh.read().split("\n"):
@@ -163,12 +158,11 @@ class LocalNode:
                         if line:
                             log.warning("mempool.log: dropping a torn record of %d bytes",
                                         len(line))
-        # A tx can be in both files: a block rewrites the list and keeps the log.
-        for tx_hex in dict.fromkeys(stored):
+        # Two processes can each log a tx: keep its last place.
+        for tx_hex in reversed(dict.fromkeys(reversed(stored))):
             tx = Transaction.deserialize(bytes.fromhex(tx_hex))
             if validate_transaction(tx, self.chain.state).ok:
                 self.mempool.append(tx)
-        self._save_mempool(drop_log=True)
 
     def _restore_snapshot(self, data: bytes, spans) -> int:
         """Start `self.chain` from `chainstate.snap`, its blocks indexed by
@@ -202,10 +196,6 @@ class LocalNode:
             os.remove(self._snapshot_path)
             self.chain = self._new_chain()
             return 0
-        # Records past the snapshot's length were appended for a snapshot
-        # that was never written.
-        with open(self._undo_path, "r+b") as fh:
-            fh.truncate(undo_len)
         self._saved_undo, self._undo_len = set(undo), undo_len
         self._snapshot_height = self.chain.height
         return covered
@@ -213,8 +203,9 @@ class LocalNode:
     def _write_snapshot(self):
         """Append the undo records not yet in undo.dat, then write the snapshot.
 
-        The snapshot is only a cache, so a write that fails logs one warning
-        and the node goes on; the next try is an interval later and writes
+        It first cuts off records appended for a snapshot never written. The
+        snapshot is only a cache, so a write that fails logs one warning and
+        the node goes on; the next try is an interval later and writes
         undo.dat whole, since the failed append may have left part of a record.
         """
         chain = self.chain
@@ -222,7 +213,8 @@ class LocalNode:
         try:
             fresh = [h for h in chain.undo if h not in self._saved_undo]
             records = b"".join(_frame(h + chain.undo[h].encode()) for h in fresh)
-            with open(self._undo_path, "ab" if self._undo_len else "wb") as fh:
+            with open(self._undo_path, "ab") as fh:
+                fh.truncate(self._undo_len)
                 fh.write(records)
             self._saved_undo.update(fresh)
             self._undo_len += len(records)
@@ -246,20 +238,14 @@ class LocalNode:
             fh.write("\n")
             json.dump(tx.serialize().hex(), fh)
 
-    def _save_mempool(self, drop_log: bool = False):
-        """Write the mempool to `mempool.json` if it differs from what the file
-        holds. Each logged tx is then in the file, in the chain or no longer
-        valid, so the log may go: it does when `drop_log` or when it is over
-        MEMPOOL_LOG_LIMIT."""
-        pending = [tx.serialize().hex() for tx in self.mempool]
-        if pending != self._saved_mempool:
-            write_atomic(self._mempool_path, json.dumps(pending))
-            self._saved_mempool = pending
+    def _rewrite_log(self):
+        """Replace the log with one record per mempool tx. A failure logs a
+        warning and keeps the old log: after a reorg it may revive dropped txs."""
         try:
-            if drop_log or os.path.getsize(self._mempool_log_path) > MEMPOOL_LOG_LIMIT:
-                os.remove(self._mempool_log_path)
-        except FileNotFoundError:
-            pass
+            write_atomic(self._mempool_log_path, "".join(
+                "\n" + json.dumps(tx.serialize().hex()) for tx in self.mempool))
+        except OSError as exc:
+            log.warning("mempool.log not rewritten: %s", exc)
 
     # -- operations -----------------------------------------------------------
 
@@ -292,7 +278,11 @@ class LocalNode:
                 carried = {tx.txid for tx in block.transactions}
                 pending = [tx for tx in pending if tx.txid not in carried]
             self.mempool = [tx for tx in pending if validate_transaction(tx, state).ok]
-            self._save_mempool()
+            # A reorg can make valid again a logged tx the old tip dropped.
+            path = self._mempool_log_path
+            if result.reorged or (os.path.exists(path)
+                                  and os.path.getsize(path) > MEMPOOL_LOG_LIMIT):
+                self._rewrite_log()
             if self.chain.height - self._snapshot_height >= SNAPSHOT_INTERVAL:
                 self._write_snapshot()
             return result

@@ -106,6 +106,17 @@ def _op_is_subsidizable(asset_name: str) -> bool:
     return asset_name.split("/")[0] == SUBSIDIZED_ROOT
 
 
+def policy_address(keys) -> str | None:
+    """The multisig address of exactly MULTISIG_KEYS distinct, well-formed
+    public keys; None for any other set of keys."""
+    if len(keys) != MULTISIG_KEYS or len(set(keys)) != MULTISIG_KEYS:
+        return None
+    try:
+        return multisig_address(list(keys))
+    except DdnsError:
+        return None
+
+
 def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
     """Check tx.asset_op.auth signatures against a single-key or multisig owner."""
     op = tx.asset_op
@@ -114,16 +125,8 @@ def _verify_auth(tx: Transaction, expected_owner: str) -> ValidationResult:
     except InvalidAddressError:
         return invalid("asset-rule-violation", "owner address undecodable")
     if version == MULTISIG_VERSION:
-        if len(op.policy_keys) != MULTISIG_KEYS:
-            return invalid("not-owner", "multisig owner requires 3 policy keys")
-        if len(set(op.policy_keys)) != MULTISIG_KEYS:
-            return invalid("not-owner", "policy keys must be distinct")
-        try:
-            committed = multisig_address(list(op.policy_keys))
-        except DdnsError:
-            return invalid("not-owner", "malformed policy key")
-        if committed != expected_owner:
-            return invalid("not-owner", "policy keys do not match owner commitment")
+        if policy_address(op.policy_keys) != expected_owner:
+            return invalid("not-owner", "policy keys do not commit to the owner")
         signers = set()
         for pubkey, sig in op.auth:
             if pubkey not in op.policy_keys:
@@ -203,12 +206,7 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
 def _registration_owner(tx: Transaction) -> str | None:
     op = tx.asset_op
     if op.policy_keys:
-        if len(op.policy_keys) != MULTISIG_KEYS or len(set(op.policy_keys)) != MULTISIG_KEYS:
-            return None
-        try:
-            return multisig_address(list(op.policy_keys))
-        except DdnsError:
-            return None
+        return policy_address(op.policy_keys)
     if op.new_owner is not None:
         return op.new_owner
     if op.auth:
@@ -319,8 +317,8 @@ class MultiSigPolicy:
     keys: tuple  # exactly 3 compressed public keys
 
     def __post_init__(self):
-        if len(self.keys) != MULTISIG_KEYS or len(set(self.keys)) != MULTISIG_KEYS:
-            raise DdnsError("policy requires 3 distinct keys")
+        if policy_address(self.keys) is None:
+            raise DdnsError("policy requires 3 distinct well-formed keys")
 
     @property
     def address(self) -> str:

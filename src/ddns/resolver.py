@@ -13,7 +13,8 @@ binding lookups on an L1 miss; a hit's check reads the view directly.
 Non-managed TLDs are forwarded upstream over UDP, outside the resolver lock,
 or answered REFUSED when no upstream is configured. A store payload whose
 hash mismatches its on-chain content id, or that does not parse, is
-answered SERVFAIL and never cached.
+answered SERVFAIL and never cached, with one warning per content id while
+its reads keep failing.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class Resolver:
         self.stats = {"queries": 0, "l1_hits": 0, "l2_hits": 0, "chain_reads": 0,
                       "store_reads": 0, "forwarded": 0}
         self._lock = threading.Lock()
+        self._failing = set()  # content ids whose last read failed
 
     # -- public API ---------------------------------------------------------
 
@@ -156,18 +158,23 @@ class Resolver:
 
     def _control_file(self, qname: str, domain: str, content_id: str):
         """The domain's control file from the store, verified and parsed, or
-        None (logged) when the store or the parse fails."""
+        None when the store or the parse fails. A failure is never cached, so
+        an object put later is served on the next resolve, and it is logged
+        once per content id while that id's reads keep failing."""
+        self.stats["store_reads"] += 1
         try:
-            self.stats["store_reads"] += 1
-            payload = self.store.get(content_id)
+            cf = parse_control_file(self.store.get(content_id))
         except (NotFoundError, CorruptionError, StoreUnavailableError) as exc:
-            log.warning("store failure for %s (%s): %s", qname, content_id, exc)
-            return None
-        try:
-            return parse_control_file(payload)
+            warning = ("store failure for %s (%s): %s", qname, content_id, exc)
         except Exception as exc:
-            log.warning("unparseable control file for %s: %s", domain, exc)
-            return None
+            warning = ("unparseable control file for %s: %s", domain, exc)
+        else:
+            self._failing.discard(content_id)
+            return cf
+        if content_id not in self._failing:
+            self._failing.add(content_id)
+            log.warning(*warning)
+        return None
 
     def _forward(self, qname: str, qtype: int) -> Answer:
         if self.config.upstream is None:

@@ -2,19 +2,27 @@ import json
 import logging
 import os
 import random
+import signal
+import socket
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import ddns
 from conftest import fixture_bytes
 from ddns.chain import GENESIS_TIMESTAMP
 from ddns.cli import main
 from ddns.config import NodeConfig, config_from_dict, load_config
+from ddns.controlfile import parse_control_file, serialize_canonical
 from ddns.errors import ConfigError, DdnsError
 from ddns.keys import generate_keypair
 from ddns.node import MAX_RECORD_BYTES, LocalNode, load_key_file, save_key_file
 from ddns import node as node_module, registry
+from ddns.resolver import Resolver
 from ddns.store import content_id_of
+from ddns.wire import NOERROR, DnsMessage, Question, decode_message, encode_message, qtype_code
 
 ALICE = generate_keypair(b"\x01" * 32)
 BOB = generate_keypair(b"\x02" * 32)
@@ -144,67 +152,57 @@ def test_corrupt_whole_block_record_still_fails(tmp_path):
         LocalNode(config)
 
 
-def test_failed_mempool_save_keeps_previous_file(tmp_path, monkeypatch):
+def _dir_stats(root):
+    """The size and mtime of `root` and of every path under it."""
+    stats = {}
+    for parent, dirs, files in os.walk(root):
+        for path in [parent] + [os.path.join(parent, name) for name in files]:
+            st = os.stat(path)
+            stats[path] = (st.st_size, st.st_mtime_ns)
+    return stats
+
+
+def test_submit_appends_to_the_log_and_reopen_reads_it(tmp_path):
     config = NodeConfig(data_dir=str(tmp_path))
     node = LocalNode(config)
-    first = registry.register_domain("DDNS/FIRST", CID, ALICE, node.state, nonce=1)
-    node.submit_transaction(first)
-    path = tmp_path / "mempool.json"
-    before = path.read_bytes()
-
-    def torn_dump(obj, fh):
-        fh.write(json.dumps(obj)[:10])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", torn_dump)
-    second = registry.register_domain("DDNS/SECOND", CID, ALICE, node.state, nonce=2)
-    with pytest.raises(OSError):
-        node.submit_transaction(second)
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [t.txid for t in LocalNode(config).mempool] == [first.txid]
-
-
-def test_submit_appends_to_the_log_and_reopen_folds_it(tmp_path):
-    config = NodeConfig(data_dir=str(tmp_path))
-    node = LocalNode(config)
-    path, log_path = tmp_path / "mempool.json", tmp_path / "mempool.log"
-    before = path.stat()
+    log_path = tmp_path / "mempool.log"
     txs = [registry.register_domain(f"DDNS/LOG{i}", CID, ALICE, node.state, nonce=i)
            for i in (1, 2)]
-    for tx in txs:
-        node.submit_transaction(tx)
-    after = path.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    assert json.loads(path.read_text()) == []
+    node.submit_transaction(txs[0])
+    first = log_path.read_bytes()
+    node.submit_transaction(txs[1])
+    logged = log_path.read_bytes()
+    assert logged.startswith(first) and logged.count(b"\n") == 2
+    before = _dir_stats(tmp_path)
     reloaded = LocalNode(config)
     assert [t.txid for t in reloaded.mempool] == [t.txid for t in txs]
-    assert json.loads(path.read_text()) == [t.serialize().hex() for t in txs]
-    assert not log_path.exists()
-    # A block that leaves the mempool as mempool.json holds it writes neither
-    # file; the confirmed tx left in the log is dropped on the next open.
+    assert _dir_stats(tmp_path) == before
+    assert not (tmp_path / "mempool.json").exists()
+    # A block on the tip leaves the log as it is: the txs it confirmed no
+    # longer validate, so the next open drops them.
     _mine_at(reloaded, 1)
-    assert json.loads(path.read_text()) == []
-    before = path.stat()
-    reloaded.submit_transaction(registry.register_domain("DDNS/LOG3", CID, ALICE,
-                                                         reloaded.state, nonce=3))
-    logged = log_path.read_bytes()
-    _mine_at(reloaded, 1)
-    after = path.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    assert log_path.read_bytes() == logged and reloaded.mempool == []
-    assert LocalNode(config).mempool == [] and not log_path.exists()
+    assert reloaded.mempool == [] and log_path.read_bytes() == logged
+    assert LocalNode(config).mempool == []
 
 
-def test_a_block_deletes_a_log_over_the_limit(tmp_path, monkeypatch):
+def test_a_block_rewrites_a_log_over_the_limit_to_hold_the_mempool(tmp_path, monkeypatch):
     monkeypatch.setattr(node_module, "MEMPOOL_LOG_LIMIT", 100)
-    node = LocalNode(NodeConfig(data_dir=str(tmp_path)))
-    node.submit_transaction(registry.register_domain("DDNS/BIG", CID, ALICE, node.state,
-                                                     nonce=1))
-    log_path = tmp_path / "mempool.log"
+    config = NodeConfig(data_dir=str(tmp_path / "node"))
+    node = LocalNode(config)
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    confirmed, kept = (registry.register_domain(f"DDNS/BIG{i}", CID, ALICE, node.state, nonce=i)
+                       for i in (1, 2))
+    node.submit_transaction(confirmed)
+    node.submit_transaction(kept)
+    rival.submit_transaction(confirmed)
+    log_path = tmp_path / "node" / "mempool.log"
     assert log_path.stat().st_size > 100
-    _mine_at(node, 1)
-    assert not log_path.exists() and node.mempool == []
+    _mine_at(rival, 1, BOB.address)
+    block = rival.chain.blocks[rival.chain.tip_hash]
+    node.accept_block(block, now=block.header.timestamp)
+    assert node.mempool == [kept]
+    assert log_path.read_text() == "\n" + json.dumps(kept.serialize().hex())
+    assert LocalNode(config).mempool == [kept]
 
 
 def test_a_record_after_a_torn_one_survives_reopen(tmp_path, monkeypatch, caplog):
@@ -230,14 +228,16 @@ def test_a_record_after_a_torn_one_survives_reopen(tmp_path, monkeypatch, caplog
     assert "torn record" in caplog.text
 
 
-def test_a_tx_in_both_mempool_files_loads_once(tmp_path):
-    # A crash after a fold rewrote mempool.json but before it deleted the log.
+def test_a_tx_logged_twice_loads_once_at_its_last_place(tmp_path):
     config = NodeConfig(data_dir=str(tmp_path))
-    node = LocalNode(config)
-    tx = registry.register_domain("DDNS/TWICE", CID, ALICE, node.state, nonce=1)
-    node.submit_transaction(tx)
-    (tmp_path / "mempool.json").write_text(json.dumps([tx.serialize().hex()]))
-    assert [t.txid for t in LocalNode(config).mempool] == [tx.txid]
+    first, second = LocalNode(config), LocalNode(config)  # two processes
+    a, b = (registry.register_domain(f"DDNS/TWICE{i}", CID, ALICE, first.state, nonce=i)
+            for i in (1, 2))
+    first.submit_transaction(a)
+    first.submit_transaction(b)
+    second.submit_transaction(a)  # its mempool, read before, lacks a
+    assert (tmp_path / "mempool.log").read_text().count(a.serialize().hex()) == 2
+    assert [t.txid for t in LocalNode(config).mempool] == [b.txid, a.txid]
 
 
 def test_record_length_over_the_cap_fails_and_keeps_the_file(tmp_path):
@@ -269,7 +269,7 @@ def test_block_drops_the_mempool_txs_it_makes_invalid(tmp_path):
     _mine_at(node, 1)
     assert node.state.assets["DDNS/RACE"].ipfs_hash == first.asset_op.new_content_id
     assert node.mempool == []
-    assert json.loads((tmp_path / "mempool.json").read_text()) == []
+    assert LocalNode(config).mempool == []
 
 
 CAROL = generate_keypair(b"\x03" * 32)
@@ -348,6 +348,154 @@ def test_the_mempool_after_each_block_is_what_full_revalidation_keeps(tmp_path, 
             for block in (rival.chain.blocks[tip.header.previous_hash], tip):
                 node.accept_block(block, now=block.header.timestamp)
     assert seen["carried"] and seen["kept"] and seen["reorgs"]
+
+
+def _orphan_tip(node, rival):
+    """Sync `rival` to the parent of `node`'s tip, mine two blocks on it and
+    hand them to `node`; returns whether `node` reorged onto them."""
+    parent = node.chain.blocks[node.chain.tip_hash].header.previous_hash
+    missing, h = [], parent
+    while h not in rival.chain.blocks:
+        missing.append(node.chain.blocks[h])
+        h = missing[-1].header.previous_hash
+    for block in reversed(missing):
+        rival.accept_block(block, now=block.header.timestamp)
+    if rival.chain.tip_hash != parent:
+        return False
+    _mine_at(rival, 2, BOB.address)
+    tip = rival.chain.blocks[rival.chain.tip_hash]
+    return [node.accept_block(block, now=block.header.timestamp).reorged
+            for block in (rival.chain.blocks[tip.header.previous_hash], tip)][-1]
+
+
+def _torn_dump(obj, fh):
+    fh.write(json.dumps(obj)[:10])
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_reopen_holds_the_live_mempool_in_order(tmp_path, monkeypatch, seed):
+    """After every submit, mine, 2-block reorg, torn append and log
+    compaction, a fresh open holds the live node's mempool, the same txids
+    in the same order, and writes nothing."""
+    rng = random.Random(seed)
+    seen = {"compactions": 0, "reorgs": 0, "torn": 0, "kept": 0}
+    real = LocalNode._rewrite_log
+
+    def counted(self):
+        path = self._mempool_log_path
+        seen["compactions"] += os.path.exists(path) and \
+            os.path.getsize(path) > node_module.MEMPOOL_LOG_LIMIT
+        real(self)
+
+    monkeypatch.setattr(LocalNode, "_rewrite_log", counted)
+    config = NodeConfig(data_dir=str(tmp_path / "node"))
+    node = LocalNode(config)
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    _mine_at(node, 2)
+    for step in range(30):
+        monkeypatch.setattr(node_module, "MEMPOOL_LOG_LIMIT", rng.choice([300, 1 << 20]))
+        action = rng.choice(["submit"] * 5 + ["mine"] * 2 + ["reorg", "torn"])
+        if action in ("submit", "torn"):
+            for j in range(rng.randint(1, 3)):
+                try:
+                    tx = _random_op(rng, node.state, step * 10 + j)
+                except DdnsError:
+                    continue
+                if action == "torn":
+                    with monkeypatch.context() as patched:
+                        patched.setattr(json, "dump", _torn_dump)
+                        with pytest.raises(OSError):
+                            node.submit_transaction(tx)
+                    seen["torn"] += 1
+                    continue
+                node.submit_transaction(tx)
+                if rng.random() < 0.5:  # the rival may carry it too
+                    try:
+                        rival.submit_transaction(tx)
+                    except DdnsError:
+                        pass
+        elif action == "mine":
+            _mine_at(node, 1)
+        else:
+            seen["reorgs"] += _orphan_tip(node, rival)
+        before = _dir_stats(config.data_dir)
+        assert [t.txid for t in LocalNode(config).mempool] == [t.txid for t in node.mempool]
+        assert _dir_stats(config.data_dir) == before
+        seen["kept"] += bool(node.mempool) and action != "submit"
+    assert all(seen.values()), seen
+
+
+def test_a_reorg_rewrites_the_log_so_a_reopen_keeps_a_dropped_tx_out(tmp_path):
+    config = NodeConfig(data_dir=str(tmp_path / "node"))
+    node = LocalNode(config)
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    node.submit_transaction(registry.register_domain("DDNS/RACE", CID, ALICE, node.state, nonce=1))
+    _mine_at(node, 1)
+    block = node.chain.blocks[node.chain.tip_hash]
+    rival.accept_block(block, now=block.header.timestamp)
+    first, second = (registry.update_domain("DDNS/RACE", content_id_of(zone), ALICE, node.state,
+                                            nonce=nonce)
+                     for nonce, zone in ((2, b"first"), (3, b"second")))
+    node.submit_transaction(first)
+    node.submit_transaction(second)
+    _mine_at(node, 1)  # confirms first, which makes second stale
+    assert node.mempool == []
+    # The reorg returns first, and second, still in the log, is valid again.
+    assert _orphan_tip(node, rival)
+    assert node.mempool == [first]
+    assert LocalNode(config).mempool == [first]
+
+
+def _serve_one_answer(config_path, qname):
+    """Run `ddns serve` in a child process, ask it one UDP question, then
+    stop it with SIGTERM; returns the decoded reply."""
+    src = os.path.dirname(os.path.dirname(ddns.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "ddns.cli", "--config", str(config_path),
+                           "serve"], stderr=subprocess.PIPE, text=True, env=env) as proc:
+        try:
+            line = next(line for line in proc.stderr if line.startswith("udp dns on "))
+            host, port = line.split()[-1].rsplit(":", 1)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.settimeout(10)
+                query = DnsMessage(id=7, rd=True, questions=(Question(qname, qtype_code("A")),))
+                sock.sendto(encode_message(query), (host, int(port)))
+                reply = decode_message(sock.recv(4096))
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+    assert proc.returncode == 0
+    return reply
+
+
+def test_opening_a_healthy_node_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 3)
+    config_path = tmp_path / "node.json"
+    config_path.write_text(json.dumps({"data_dir": "data",
+                                       "resolver": {"udp_port": 0, "doh_port": 0}}))
+    config = load_config(str(config_path))
+    node = LocalNode(config)
+    cid = node.store.put(serialize_canonical(parse_control_file(
+        fixture_bytes("example_zone.json"))))
+    node.submit_transaction(registry.register_domain("DDNS/EXAMPLE", cid, ALICE, node.state,
+                                                     nonce=1))
+    _mine_at(node, 5)  # a snapshot at height 3
+    pending = registry.register_domain("DDNS/PENDING", CID, ALICE, node.state, nonce=2)
+    node.submit_transaction(pending)
+    data = tmp_path / "data"
+    assert {"chainstate.snap", "undo.dat", "mempool.log"} <= set(os.listdir(data))
+    before = _dir_stats(data)
+    reopened = LocalNode(config)
+    answer = Resolver(config.resolver, reopened.chain_view, reopened.store).resolve(
+        "example.ddns", qtype_code("A"))
+    assert answer.rcode == NOERROR and answer.records
+    assert reopened.mempool == [pending] and reopened.chain.blocks.raw
+    assert _dir_stats(data) == before
+    reply = _serve_one_answer(config_path, "example.ddns")
+    assert reply.rcode == NOERROR and reply.answers[0].rdata == answer.records[0].rdata
+    assert _dir_stats(data) == before
 
 
 def test_a_losing_side_block_leaves_the_mempool_unchecked(tmp_path, monkeypatch):
@@ -497,13 +645,23 @@ def test_failed_renames_leave_no_temp_files(tmp_path, monkeypatch, caplog):
         _mine_at(node, 1)
     assert [r.getMessage().startswith("chainstate.snap not written") for r in caplog.records] \
         == [True, True]
-    with pytest.raises(OSError):  # mempool.json
-        LocalNode(NodeConfig(data_dir=str(tmp_path / "empty")))
+    LocalNode(NodeConfig(data_dir=str(tmp_path / "empty")))  # writes no file to rename
+    # A log compaction that fails keeps the old log, with one warning.
+    monkeypatch.setattr(node_module, "MEMPOOL_LOG_LIMIT", 0)
+    node.submit_transaction(registry.register_domain("DDNS/COMPACT", CID, ALICE, node.state,
+                                                     nonce=1))
+    logged = (mined / "mempool.log").read_bytes()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        _mine_at(node, 1)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] \
+        == ["mempool.log not rewritten", "chainstate.snap not written at height 3"]
+    assert (mined / "mempool.log").read_bytes() == logged and node.mempool == []
     monkeypatch.undo()
     leftovers = [name for _, _, files in os.walk(tmp_path) for name in files if ".tmp." in name]
     assert leftovers == []
     assert not (mined / "chainstate.snap").exists()
-    assert not (tmp_path / "empty" / "mempool.json").exists()
+    assert not (tmp_path / "empty" / "mempool.log").exists()
     # The next open replays, writes undo.dat whole and a snapshot, and the
     # one after loads it.
     monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 1)
@@ -528,6 +686,9 @@ def test_a_torn_undo_append_is_written_whole_with_the_next_snapshot(tmp_path, mo
 
         def __exit__(self, *exc):
             self.fh.close()
+
+        def truncate(self, size):
+            self.fh.truncate(size)
 
         def write(self, data):
             self.fh.write(data[:len(data) // 2])

@@ -1,5 +1,6 @@
 import base64
 import http.client
+import logging
 import os
 import random
 import socket
@@ -171,6 +172,19 @@ def test_spf_served_as_txt(stack, alice):
     assert answer.rcode == NOERROR
     assert answer.records[0].rtype == TXT
     assert answer.records[0].rdata == bytes([14]) + b"v=spf1 mx -all"
+
+
+def test_a_missing_object_warns_once_and_is_served_once_put(stack, alice, caplog):
+    zone = serialize_canonical(parse_control_file(fixture_bytes("example_zone.json")))
+    _register_example(stack, alice)
+    os.remove(stack.node.store._path_for(stack.node.state.assets["DDNS/EXAMPLE"].ipfs_hash))
+    with caplog.at_level(logging.WARNING, logger="ddns.resolver"):
+        answers = [stack.resolver.resolve("example.ddns", A) for _ in range(10)]
+    assert [a.rcode for a in answers] == [SERVFAIL] * 10
+    assert stack.resolver.stats["store_reads"] == 10
+    assert len(caplog.records) == 1 and "store failure" in caplog.records[0].getMessage()
+    stack.node.store.put(zone)
+    assert stack.resolver.resolve("example.ddns", A).rcode == NOERROR
 
 
 def test_nxdomain_and_negative_cache_is_l1_only(stack):
