@@ -1,6 +1,6 @@
 """Blockchain-backed decentralized DNS: keys and addresses, a UTXO
 proof-of-work chain carrying domain assets, content-addressed zone
-storage, an RFC 1035/8484 resolver with a three-tier cache, a network
+storage, an RFC 1035/8484 resolver with a two-tier cache, a network
 simulator, and closed-form system analytics.
 """
 

@@ -4,9 +4,9 @@ L1: LRU of each name's own answer, 50,000 entries, each kept with the asset
     name and content id it was built from (no id: the name was unbound; no
     asset name: it can never be bound). A hit is served only while the
     chain's names still bind that asset to that id; a stale entry is dropped.
-L2: each domain's parsed control file, under the content id it was read
-    under, for at most `L2_CAPACITY` domains, served only under the content
-    id the chain names now.
+L2: each domain's parsed control file, by asset name, under the content
+    id it was read under, for at most `L2_CAPACITY` domains, served only
+    under the content id the chain names now.
 
 Neither tier can serve what the chain no longer names, so neither has a TTL.
 """
@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import collections
 
+from . import registry
+
 L1_CAPACITY = 50_000
 L2_CAPACITY = 4_096
-
-
-def domain_of(name: str) -> str:
-    """A name's domain: its last two labels, in lower case, without a root
-    dot. A bare TLD is its own domain."""
-    return ".".join(name.lower().rstrip(".").split(".")[-2:])
 
 
 class L1Cache:
@@ -62,7 +58,7 @@ class L1Cache:
 
 
 class L2Cache:
-    """Domain -> (content id, parsed control file); the oldest put is
+    """Asset name -> (content id, parsed control file); the oldest put is
     dropped first once `L2_CAPACITY` domains are held."""
 
     def __init__(self):
@@ -71,22 +67,22 @@ class L2Cache:
     def __len__(self):
         return len(self._entries)
 
-    def get(self, domain: str, content_id: str):
+    def get(self, asset_name: str, content_id: str):
         """The domain's control file if it was read under `content_id`."""
-        entry = self._entries.get(domain)
+        entry = self._entries.get(asset_name)
         if entry is None or entry[0] != content_id:
             return None
         return entry[1]
 
-    def put(self, domain: str, content_id: str, control_file):
-        self._entries.pop(domain, None)
+    def put(self, asset_name: str, content_id: str, control_file):
+        self._entries.pop(asset_name, None)
         if len(self._entries) >= L2_CAPACITY:
             del self._entries[next(iter(self._entries))]
-        self._entries[domain] = (content_id, control_file)
+        self._entries[asset_name] = (content_id, control_file)
 
-    def invalidate(self, name: str):
-        """Drop `name`'s domain."""
-        self._entries.pop(domain_of(name), None)
+    def invalidate(self, dns_name: str):
+        """Drop the domain that binds `dns_name` (DdnsError: no asset can)."""
+        self._entries.pop(registry.binding_of(dns_name)[0], None)
 
 
 class CacheHierarchy:

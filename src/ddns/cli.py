@@ -62,14 +62,13 @@ def cmd_register(args):
     node = _load_node(args)
     keypair = load_key_file(args.key)
     content_id = _put_zone(node, args.zone)
-    name = args.name if "/" in args.name else registry.dns_to_asset(args.name)
-    tx = registry.register_domain(name, content_id, keypair, node.state,
+    tx = registry.register_domain(args.name, content_id, keypair, node.state,
                                   nonce=node.next_nonce())
     txid = node.submit_transaction(tx)
     _emit(args, {"txid": txid.hex(), "content_id": content_id,
-                 "asset_name": name.upper(), "fee_paid": tx.asset_op.fee_paid,
+                 "asset_name": tx.asset_op.asset_name, "fee_paid": tx.asset_op.fee_paid,
                  "subsidized": tx.asset_op.subsidized},
-          f"registered {name.upper()} (pending confirmation)\n"
+          f"registered {tx.asset_op.asset_name} (pending confirmation)\n"
           f"txid: {txid.hex()}\ncontent id: {content_id}")
     return 0
 
@@ -78,8 +77,7 @@ def cmd_update(args):
     node = _load_node(args)
     keypair = load_key_file(args.key)
     content_id = _put_zone(node, args.zone)
-    name = args.name if "/" in args.name else registry.dns_to_asset(args.name)
-    tx = registry.update_domain(name, content_id, keypair, node.state,
+    tx = registry.update_domain(args.name, content_id, keypair, node.state,
                                 nonce=node.next_nonce())
     txid = node.submit_transaction(tx)
     _emit(args, {"txid": txid.hex(), "content_id": content_id},
@@ -90,8 +88,7 @@ def cmd_update(args):
 def cmd_transfer(args):
     node = _load_node(args)
     keypair = load_key_file(args.key)
-    name = args.name if "/" in args.name else registry.dns_to_asset(args.name)
-    tx = registry.transfer_domain(name, args.to, keypair, node.state,
+    tx = registry.transfer_domain(args.name, args.to, keypair, node.state,
                                   nonce=node.next_nonce())
     txid = node.submit_transaction(tx)
     _emit(args, {"txid": txid.hex(), "new_owner": args.to},

@@ -10,6 +10,7 @@ import logging
 import os
 from dataclasses import dataclass, fields
 
+from . import registry
 from .chain import DEFAULT_GENESIS_TARGET, GENESIS_TIMESTAMP
 from .errors import ConfigError
 from .resolver import ResolverConfig
@@ -92,8 +93,8 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> NodeConfig:
         tlds = rdoc.get("managed_tlds")
         if tlds is not None:
             if (not isinstance(tlds, list) or not tlds
-                    or any(not isinstance(t, str) or t != t.lower() for t in tlds)):
-                problems.append("resolver.managed_tlds must be a list of lowercase strings")
+                    or any(not isinstance(t, str) or not registry.is_root_label(t) for t in tlds)):
+                problems.append("resolver.managed_tlds must be a list of lowercase root labels")
             else:
                 kwargs["managed_tlds"] = tuple(tlds)
         upstream = rdoc.get("upstream")

@@ -1,10 +1,10 @@
-"""Domain-asset semantics layered on the ledger.
+"""Domain-asset semantics layered on the ledger, and the one name rule.
 
-Each registered domain is a unique asset "ROOT_TLD/NAME" binding the
-name to an owner address and a content id. Registration under root
-"DDNS" is subsidized (zero fee); every other root pays 0.1 PHI.
-Ownership may be a single key or a 2-of-3 multisig policy whose
-commitment hash sits in the owner-address slot.
+Each domain is a unique asset "ROOT/NAME" binding the DNS name "name.root"
+to an owner address and a content id; a segment is one DNS label, and a
+subdomain is a label in its parent's control file. Any root may be
+registered: "DDNS" is subsidized (zero fee), others pay 0.1 PHI. Ownership
+is a single key or a 2-of-3 multisig policy committed in the owner address.
 """
 
 from __future__ import annotations
@@ -12,18 +12,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .chain import (AssetOperation, ChainState, REGISTRATION_FEE, Transaction,
+from .chain import (AssetOperation, ChainState, REGISTRATION_FEE, Transaction, TxInput,
                     TxOutput, ValidationResult, invalid, sign_transaction, valid)
 from .errors import DdnsError, InvalidAddressError
 from .keys import KeyPair, decode_address, multisig_address, MULTISIG_VERSION
 from .store import decode_content_id
 
 SUBSIDIZED_ROOT = "DDNS"
-RESERVED_ROOTS = frozenset({"DDNS", "PHI"})
 MULTISIG_THRESHOLD = 2
 MULTISIG_KEYS = 3
 
-_SEGMENT_RE = re.compile(r"^[A-Z0-9_.]{1,30}$")
+_SEGMENT_RE = re.compile(r"[A-Z0-9_]{1,30}")
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,17 @@ def validate_asset_name(name: str) -> ValidationResult:
     for segment in parts:
         if len(segment) > 30:
             return invalid("bad-length", f"segment {segment!r} longer than 30")
-        if not _SEGMENT_RE.match(segment):
+        if not _SEGMENT_RE.fullmatch(segment):
             return invalid("bad-charset", f"segment {segment!r} has invalid characters")
-        if segment[0] in "._" or segment[-1] in "._":
-            return invalid("bad-structure", f"segment {segment!r} starts/ends with '.' or '_'")
-        if ".." in segment:
-            return invalid("bad-structure", f"segment {segment!r} has consecutive dots")
+        if segment[0] == "_" or segment[-1] == "_":
+            return invalid("bad-structure", f"segment {segment!r} starts/ends with '_'")
     return valid()
+
+
+def is_root_label(label: str) -> bool:
+    """Whether `label` is, in lower case, a root segment the grammar accepts."""
+    return (label.isascii() and label == label.lower()
+            and validate_asset_name(f"{label.upper()}/{SUBSIDIZED_ROOT}").ok)
 
 
 def asset_to_dns(asset_name: str) -> str:
@@ -78,32 +81,39 @@ def asset_to_dns(asset_name: str) -> str:
 
 
 def dns_to_asset(dns_name: str) -> str:
-    labels = dns_name.lower().rstrip(".").rsplit(".", 1)
-    if len(labels) != 2 or not all(labels):
-        raise DdnsError(f"not a registrable two-label name: {dns_name!r}")
-    domain, tld = labels
-    return f"{tld.upper()}/{domain.upper()}"
+    """"example.ddns" -> "DDNS/EXAMPLE", or DdnsError (see `asset_name_of`)."""
+    labels = dns_name.rstrip(".").split(".")
+    if len(labels) != 2:
+        raise DdnsError(f"not a two-label name: {dns_name!r} (a subdomain is a "
+                        f"label in its parent's control file)")
+    return asset_name_of(f"{labels[1]}/{labels[0]}")
+
+
+def binding_of(dns_name: str) -> tuple[str, str]:
+    """The asset that binds a DNS name's last two labels, and its owner label ("@": apex)."""
+    labels = dns_name.lower().rstrip(".").rsplit(".", 2)
+    owner = labels.pop(0) if len(labels) == 3 else "@"
+    return dns_to_asset(".".join(labels)), owner
+
+
+def asset_name_of(name: str) -> str:
+    """The asset name of "DDNS/EXAMPLE" or "example.ddns", in any case, or DdnsError."""
+    if "/" not in name:
+        return dns_to_asset(name)
+    name = name.upper() if name.isascii() else name  # "ß".upper() is "SS"
+    check = validate_asset_name(name)
+    if not check.ok:
+        raise DdnsError(f"invalid name: {check.code}: {check.detail}")
+    return name
 
 
 def lookup_domain(state: ChainState, name: str) -> DomainAsset | None:
-    """Accepts either asset form ("DDNS/EXAMPLE") or DNS form ("example.ddns");
-    `state` may be a `ChainState` or a `ChainView`."""
-    if "/" not in name:
-        name = dns_to_asset(name)
-    else:
-        name = name.upper()
-    result = validate_asset_name(name)
-    if not result.ok:
-        raise DdnsError(f"invalid name: {result.code}")
-    return state.assets.get(name)
+    """`name` in either form; `state` may be a `ChainState` or a `ChainView`."""
+    return state.assets.get(asset_name_of(name))
 
 
 # ---------------------------------------------------------------------------
 # Operation validation (called from chain.validate_transaction)
-
-
-def _op_is_subsidizable(asset_name: str) -> bool:
-    return asset_name.split("/")[0] == SUBSIDIZED_ROOT
 
 
 def policy_address(keys) -> str | None:
@@ -168,7 +178,7 @@ def check_asset_operation(tx: Transaction, state: ChainState, fee: int) -> Valid
         except Exception:
             return invalid("asset-rule-violation", "malformed content id")
         if op.subsidized:
-            if not _op_is_subsidizable(op.asset_name):
+            if not op.asset_name.startswith(SUBSIDIZED_ROOT + "/"):
                 return invalid("asset-rule-violation",
                                "only DDNS registrations are subsidized")
         elif fee < REGISTRATION_FEE:
@@ -252,7 +262,6 @@ def _select_funding(state: ChainState, address: str, amount: int):
 
 def _funded_asset_tx(op: AssetOperation, owner: KeyPair, state: ChainState,
                      fee: int, nonce: int) -> Transaction:
-    from .chain import TxInput
     address = owner.address
     inputs = ()
     outputs = ()
@@ -270,13 +279,10 @@ def _funded_asset_tx(op: AssetOperation, owner: KeyPair, state: ChainState,
 def register_domain(name: str, control_file_id: str, owner: KeyPair,
                     state: ChainState, nonce: int = 0) -> Transaction:
     """Build and sign a registration transaction (not yet broadcast)."""
-    name = name.upper()
-    check = validate_asset_name(name)
-    if not check.ok:
-        raise DdnsError(f"invalid name: {check.code}: {check.detail}")
+    name = asset_name_of(name)
     if name in state.assets:
         raise DdnsError(f"name taken: {name}")
-    subsidized = _op_is_subsidizable(name)
+    subsidized = name.startswith(SUBSIDIZED_ROOT + "/")
     fee = 0 if subsidized else REGISTRATION_FEE
     op = AssetOperation("register", name, new_content_id=control_file_id,
                         fee_paid=fee, subsidized=subsidized,
@@ -286,7 +292,7 @@ def register_domain(name: str, control_file_id: str, owner: KeyPair,
 
 def update_domain(name: str, new_content_id: str, signer: KeyPair,
                   state: ChainState, nonce: int = 0) -> Transaction:
-    name = name.upper()
+    name = asset_name_of(name)
     if name not in state.assets:
         raise DdnsError(f"unknown domain: {name}")
     op = AssetOperation("update", name, new_content_id=new_content_id,
@@ -297,7 +303,7 @@ def update_domain(name: str, new_content_id: str, signer: KeyPair,
 
 def transfer_domain(name: str, new_owner: str, signer: KeyPair,
                     state: ChainState, nonce: int = 0) -> Transaction:
-    name = name.upper()
+    name = asset_name_of(name)
     if name not in state.assets:
         raise DdnsError(f"unknown domain: {name}")
     decode_address(new_owner)

@@ -1,11 +1,14 @@
 """DDNSD: the resolution core plus UDP and DNS-over-HTTPS front ends.
 
-Resolution path for a managed name: L1 -> chain lookup of the domain's
-content id -> L2 (the domain's parsed control file, under that content id)
--> content store fetch, integrity check and parse -> record query ->
-respond and populate caches. Each L1 entry holds only a name's own records,
-from its own domain's control file, so it depends on exactly one content id,
-and a hit is served only while the published view still binds that id;
+Resolution path for a managed name: L1 -> `registry.binding_of`, the asset
+that binds the name and the name's owner label -> chain lookup of that
+asset's content id -> L2 (the asset's parsed control file, under that id)
+-> store fetch, integrity check and parse -> record query at the owner
+label -> respond and populate caches. Relative names in records expand
+under the binding asset's DNS name (RFC 1035's `$ORIGIN`), not the file's
+`domain` field. Each L1 entry holds only a name's own records, from its own
+domain's control file, so it depends on exactly one content id, and a hit
+is served only while the published view still binds that id;
 `Resolver.resolve` follows CNAMEs itself, one cached name at a time. So an
 answer follows the chain from the first resolve after `add_block` publishes
 the view, with no TTL and no `notice_update`. `stats["chain_reads"]` counts
@@ -30,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import registry
-from .cache import CacheHierarchy, domain_of
+from .cache import CacheHierarchy
 from .controlfile import parse_control_file, query_records
 from .errors import (CorruptionError, DdnsError, DnsParseError, NotFoundError,
                      StoreUnavailableError)
@@ -119,44 +122,40 @@ class Resolver:
         if answer is not None:
             self.stats["l1_hits"] += 1
             return answer
-        asset_name, content_id = self._binding(qname, view)
+        asset_name, label, content_id = self._binding(qname, view)
         if content_id is None:
             # Negative answers are cached in L1 only.
             answer = Answer(NXDOMAIN)
             self.caches.l1.put(l1_key, answer, asset_name)
             return answer
-        domain = domain_of(qname)
-        cf = self.caches.l2.get(domain, content_id)
+        cf = self.caches.l2.get(asset_name, content_id)
         if cf is not None:
             self.stats["l2_hits"] += 1
         else:
-            cf = self._control_file(qname, domain, content_id)
+            cf = self._control_file(qname, asset_name, content_id)
             if cf is None:
                 return Answer(SERVFAIL)
-            self.caches.l2.put(domain, content_id, cf)
+            self.caches.l2.put(asset_name, content_id, cf)
         rtype_name = TYPE_NAMES.get(qtype)
-        label = ".".join(qname.split(".")[:-2]) or "@"
         entries = query_records(cf, label, rtype_name) if rtype_name else ()
-        answer = Answer(NOERROR, tuple(record_to_rr(qname, entry.rtype, entry, cf.domain)
+        origin = registry.asset_to_dns(asset_name)
+        answer = Answer(NOERROR, tuple(record_to_rr(qname, entry.rtype, entry, origin)
                                        for entry in entries))
         self.caches.l1.put(l1_key, answer, asset_name, content_id)
         return answer
 
     def _binding(self, qname: str, view):
-        """The asset name that binds a qname and the content id `view` binds
-        it to (None: unbound); (None, None) for a name that can never be
-        bound."""
-        if "." not in qname:
-            return None, None
-        self.stats["chain_reads"] += 1
+        """`registry.binding_of(qname)` and the content id `view` binds it to
+        (None: unbound); all None for a name no asset can bind."""
         try:
-            asset_name = registry.dns_to_asset(domain_of(qname))
-            asset = registry.lookup_domain(view, asset_name)
+            asset_name, label = registry.binding_of(qname)
         except DdnsError:
-            return None, None
-        return asset_name, None if asset is None else asset.ipfs_hash
+            return None, None, None
+        self.stats["chain_reads"] += 1
+        asset = registry.lookup_domain(view, asset_name)
+        return asset_name, label, None if asset is None else asset.ipfs_hash
 
-    def _control_file(self, qname: str, domain: str, content_id: str):
+    def _control_file(self, qname: str, asset_name: str, content_id: str):
         """The domain's control file from the store, verified and parsed, or
         None when the store or the parse fails. A failure is never cached, so
         an object put later is served on the next resolve, and it is logged
@@ -167,7 +166,7 @@ class Resolver:
         except (NotFoundError, CorruptionError, StoreUnavailableError) as exc:
             warning = ("store failure for %s (%s): %s", qname, content_id, exc)
         except Exception as exc:
-            warning = ("unparseable control file for %s: %s", domain, exc)
+            warning = ("unparseable control file for %s: %s", asset_name, exc)
         else:
             self._failing.discard(content_id)
             return cf

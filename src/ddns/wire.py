@@ -293,7 +293,7 @@ def _txt_chunks(text: str) -> bytes:
 
 def _absolute(value: str, zone: str) -> str:
     # Dot-containing names are taken literally; bare labels are relative
-    # to the control file's domain.
+    # to the zone's origin, the DNS name that binds the control file.
     return value if "." in value else f"{value}.{zone}"
 
 

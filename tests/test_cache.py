@@ -81,19 +81,19 @@ def test_l2_drops_the_oldest_domain_at_capacity(monkeypatch):
 
 def test_invalidate_keeps_other_domains():
     caches = CacheHierarchy()
-    caches.l2.put("other.ddns", "Qm2", "c")
-    caches.l2.put("example.ddns", "Qm1", "a")
+    caches.l2.put("DDNS/OTHER", "Qm2", "c")
+    caches.l2.put("DDNS/EXAMPLE", "Qm1", "a")
     caches.invalidate("example.ddns")
     assert len(caches.l2) == 1
-    assert caches.l2.get("other.ddns", "Qm2") == "c"
+    assert caches.l2.get("DDNS/OTHER", "Qm2") == "c"
 
 
 def test_invalidate_a_subdomain_drops_its_whole_domain_from_l2():
     caches = CacheHierarchy()
-    caches.l2.put("example.ddns", "Qm1", "a")
-    caches.l2.put("other.ddns", "Qm2", "c")
-    caches.l2.put("notexample.ddns", "Qm3", "d")
+    caches.l2.put("DDNS/EXAMPLE", "Qm1", "a")
+    caches.l2.put("DDNS/OTHER", "Qm2", "c")
+    caches.l2.put("DDNS/NOTEXAMPLE", "Qm3", "d")
     caches.invalidate("WWW.Example.ddns.")
-    assert caches.l2.get("example.ddns", "Qm1") is None
-    assert caches.l2.get("other.ddns", "Qm2") == "c"
-    assert caches.l2.get("notexample.ddns", "Qm3") == "d"
+    assert caches.l2.get("DDNS/EXAMPLE", "Qm1") is None
+    assert caches.l2.get("DDNS/OTHER", "Qm2") == "c"
+    assert caches.l2.get("DDNS/NOTEXAMPLE", "Qm3") == "d"

@@ -724,6 +724,14 @@ def test_config_round_trip(tmp_path):
     assert config.resolver.managed_tlds == ("ddns",)
 
 
+def test_config_refuses_managed_tlds_outside_the_name_grammar():
+    assert config_from_dict({"resolver": {"managed_tlds": ["ddns", "web3", "my_tld"]}})
+    for bad in ("d.dns", "DDNS", "_x", "x_", "", "ß", "a" * 31, 7):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"bogus": 1, "resolver": {"managed_tlds": ["ddns", bad]}})
+        assert "bogus" in str(err.value) and "resolver.managed_tlds" in str(err.value)
+
+
 def test_config_ignores_a_resolver_cache_dir_with_one_warning(tmp_path, caplog):
     path = tmp_path / "node.json"
     for resolver, warnings in (({"cache_dir": "old-cache"}, 1), ({}, 0)):
@@ -801,6 +809,12 @@ def test_cli_register_invalid_zone_exit_3(env, tmp_path):
     bad.write_text('{"version": "9.9"}')
     assert run(env, "register", "x.ddns", "--zone", str(bad),
                "--key", env["key"]) == 3
+
+
+def test_cli_register_a_subdomain_exit_3(env, capsys):
+    assert run(env, "register", "mail.example.ddns", "--zone", env["zone"],
+               "--key", env["key"]) == 3
+    assert "subdomain" in capsys.readouterr().err
 
 
 def test_cli_mine_uses_configured_key(env):

@@ -2,16 +2,21 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddns.chain import (AssetOperation, Chain, Transaction, make_genesis,
                         mine_block, sign_transaction, validate_transaction)
+from ddns.config import NodeConfig
 from ddns.errors import DdnsError
 from ddns.keys import generate_keypair, sign
+from ddns.node import LocalNode
+from ddns.resolver import Resolver, ResolverConfig
 from ddns.store import content_id_of
 from ddns import registry
+from test_chain import _block_with
 
 ALICE = generate_keypair(b"\x01" * 32)
 BOB = generate_keypair(b"\x02" * 32)
@@ -32,11 +37,11 @@ def chain_with(name="DDNS/EXAMPLE", owner=ALICE):
 # -- name grammar -------------------------------------------------------------
 
 VALID_NAMES = ["DDNS/EXAMPLE", "PHI/EXPLORER", "WEB3/MY_SHOP", "A/B",
-               "DDNS/SUB.DOMAIN", "X2/N0", "A" * 30 + "/" + "B" * 30]
+               "X2/N0", "A" * 30 + "/" + "B" * 30]
 INVALID_NAMES = ["ddns/example", "DDNS/", "/EXAMPLE", "DDNS", "DDNS/EX/TRA",
                  "DDNS/EX AMPLE", "DDNS/EX-AMPLE", "DDNS/.DOT", "DDNS/DOT.",
                  "DDNS/_X", "DDNS/A..B", "A" * 31 + "/B", "A/" + "B" * 31,
-                 "DDNS/ÜBER", ""]
+                 "DDNS/ÜBER", "", "DDNS/SUB.DOMAIN"]
 
 
 @pytest.mark.parametrize("name", VALID_NAMES)
@@ -93,6 +98,71 @@ def test_lookup_accepts_both_name_forms():
     assert registry.lookup_domain(chain.state, "example.ddns").ipfs_hash == CID
     assert registry.lookup_domain(chain.state, "ddns/example").ipfs_hash == CID
     assert registry.lookup_domain(chain.state, "missing.ddns") is None
+
+
+# -- one name rule ---------------------------------------------------------------
+
+MALLORY = generate_keypair(b"\x05" * 32)
+# Every asset name the grammar accepts: one DNS label per segment.
+SEGMENTS = st.from_regex(r"[A-Z0-9]([A-Z0-9_]{0,28}[A-Z0-9])?", fullmatch=True)
+ASSET_NAMES = st.builds(lambda root, name: f"{root}/{name}", SEGMENTS, SEGMENTS)
+
+
+def registration_by_hand(name, owner):
+    """A signed, subsidized registration of `name`, past the builder's checks."""
+    op = AssetOperation("register", name, new_content_id=CID, subsidized=True,
+                        auth=((owner.public_key, b"\x00" * 64),))
+    return sign_transaction(Transaction((), (), op, 0), owner)
+
+
+def test_a_dotted_name_under_a_registered_domain_is_refused(tmp_path):
+    # A owns DDNS/EXAMPLE; DDNS/MAIL.EXAMPLE would let M claim mail.example.ddns.
+    node = LocalNode(NodeConfig(data_dir=str(tmp_path / "node")))
+    node.submit_transaction(registry.register_domain("example.ddns", CID, ALICE, node.state))
+    node.mine(1, ALICE.address)
+    forged = registration_by_hand("DDNS/MAIL.EXAMPLE", MALLORY)
+    with pytest.raises(DdnsError, match="rejected: invalid-name: bad-charset"):
+        node.submit_transaction(forged)
+    with pytest.raises(DdnsError, match="bad-charset"):
+        registry.register_domain("DDNS/MAIL.EXAMPLE", CID, MALLORY, node.state)
+    result = node.chain.add_block(_block_with(node.state, [forged]))
+    assert not result.accepted and result.code == "bad-tx(1)"
+    assert list(node.state.assets) == ["DDNS/EXAMPLE"]
+
+
+@pytest.mark.parametrize("name", ["DD.NS/X", "DDNS/EXAMPLE\n"])
+def test_a_name_outside_one_label_per_segment_is_refused(name):
+    result = registry.validate_asset_name(name)
+    assert not result.ok and result.code == "bad-charset"
+    result = validate_transaction(registration_by_hand(name, MALLORY), Chain(make_genesis()).state)
+    assert not result.ok and result.code == "invalid-name"
+
+
+def test_dns_to_asset_takes_exactly_two_labels():
+    with pytest.raises(DdnsError, match="a subdomain is a label in its parent's control file"):
+        registry.dns_to_asset("mail.example.ddns")
+    for name in ("ddns", "", ".ddns", "x.dd.ns", "ex-ample.ddns", "straße.ddns"):
+        with pytest.raises(DdnsError):
+            registry.dns_to_asset(name)
+    with pytest.raises(DdnsError):
+        registry.asset_name_of("DDNS/straße")  # not upper-cased into "STRASSE"
+    assert registry.binding_of("A.B.Example.DDNS.") == ("DDNS/EXAMPLE", "a.b")
+    assert registry.binding_of("example.ddns") == ("DDNS/EXAMPLE", "@")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ASSET_NAMES)
+def test_every_accepted_name_maps_to_one_dns_name_and_back(name):
+    assert registry.validate_asset_name(name).ok
+    dns = registry.asset_to_dns(name)
+    assert registry.dns_to_asset(dns) == name
+    assert registry.is_root_label(dns.rsplit(".", 1)[1])
+    asset = registry.DomainAsset(name, ALICE.address, CID)
+    view = SimpleNamespace(assets={name: asset})
+    resolver = Resolver(ResolverConfig(), lambda: view, store=None)
+    assert resolver._binding(dns, view) == (name, "@", CID)
+    assert resolver._binding("www." + dns, view) == (name, "www", CID)
+    assert registry.lookup_domain(view, dns) is asset
 
 
 # -- ownership integrity --------------------------------------------------------
@@ -261,7 +331,8 @@ def test_multisig_policy_requires_three_distinct_keys():
 def test_name_validation_never_crashes(segment):
     result = registry.validate_asset_name(f"DDNS/{segment}")
     ok = (len(segment) <= 30 and segment[0] not in "._"
-          and segment[-1] not in "._" and ".." not in segment)
+          and segment[-1] not in "._" and ".." not in segment
+          and "." not in segment)
     assert result.ok == ok
 
 

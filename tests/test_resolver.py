@@ -17,12 +17,13 @@ from conftest import Stack, fixture_bytes, make_zone
 from ddns import registry
 from ddns.config import NodeConfig
 from ddns.controlfile import parse_control_file, serialize_canonical
+from ddns.errors import DdnsError
 from ddns.keys import generate_keypair
 from ddns.node import LocalNode
 from ddns.resolver import MAX_CNAME_DEPTH, Resolver, ResolverConfig, serve_doh, serve_udp
 from ddns.wire import (FORMERR, NOERROR, NOTIMP, NXDOMAIN, REFUSED, SERVFAIL,
                        DnsMessage, Question, ResourceRecord, build_query, decode_message,
-                       encode_message, qtype_code)
+                       decode_name, encode_message, qtype_code)
 
 A = qtype_code("A")
 MX = qtype_code("MX")
@@ -300,6 +301,27 @@ def test_confirmed_update_without_notice_is_served_at_once(stack, alice):
     for name in ("example.ddns", "www.example.ddns"):
         assert r.resolve(name, A).records[0].rdata == bytes([10, 0, 0, 2])
     assert r.stats["l1_hits"] == before["l1_hits"]  # both stale entries read as misses
+
+
+def test_a_subdomain_is_served_from_its_parents_zone(stack, alice, bob):
+    cid = stack.register("example.ddns", fixture_bytes("example_zone.json"), alice)
+    # Bob cannot claim mail.example.ddns in either name form (consensus: test_registry.py).
+    for name in ("mail.example.ddns", "DDNS/MAIL.EXAMPLE"):
+        with pytest.raises(DdnsError):
+            registry.register_domain(name, cid, bob, stack.node.state)
+    answer = stack.resolver.resolve("mail.example.ddns", MX)
+    assert answer.rcode == NOERROR
+    assert decode_name(answer.records[0].rdata, 2)[0] == "mail.example.ddns"
+
+
+def test_relative_names_expand_under_the_binding_not_the_files_domain(stack, alice):
+    zone = make_zone("elsewhere.ddns", {"@": {"MX": [{"server": "mx", "priority": 5}]},
+                                        "alias": {"CNAME": [{"target": "web"}]}})
+    stack.register("example.ddns", zone, alice)
+    mx = stack.resolver.resolve("example.ddns", MX).records[0]
+    assert decode_name(mx.rdata, 2)[0] == "mx.example.ddns"
+    cname = stack.resolver.resolve("alias.example.ddns", qtype_code("CNAME")).records[0]
+    assert decode_name(cname.rdata, 0)[0] == "web.example.ddns"
 
 
 def test_notice_update_of_a_subdomain_refreshes_its_whole_domain(stack, alice):
