@@ -4,9 +4,10 @@ difficulty retargeting, and longest-chain reorganization.
 The chain keeps one mutable state at its tip. Connecting a block returns an
 undo record of the outputs it spent, the asset values it replaced and the
 outputs it created; disconnecting through that record alone, without the
-block, restores the parent's state, so a reorg or a side-branch check costs
-the blocks it moves past, not the size of the state. Blocks and block
-templates are checked on an overlay of the tip.
+block, restores the parent's state, so a reorg costs the blocks it moves
+past, not the size of the state. A side block that does not take the tip
+passes the header checks and is stored; its txs are checked only when its
+branch takes the tip, on the tip's own state.
 
 Canonical serialization is little-endian fixed-width integers with
 length-prefixed variable fields, fields in declaration order. Uniqueness
@@ -666,7 +667,7 @@ def check_block(block: Block, recent_headers: tuple, parent_height: int,
         now = int(_time.time())
     header = block.header
     if header.height != parent_height + 1:
-        return invalid("bad-tx", "wrong height")
+        return invalid("bad-height", "wrong height")
     expected_target = adjust_difficulty(recent_headers)
     if header.difficulty_target != expected_target:
         return invalid("bad-difficulty",
@@ -892,7 +893,7 @@ def fork_path(tip, target, parent, height):
 class LazyMap(MutableMapping):
     """A map whose values may be added as bytes. Those are decoded on each
     read and never kept decoded, so the blocks below a snapshot, read only
-    when a reorg or a side block reaches them, stay bytes."""
+    when a reorg reaches them, stay bytes."""
 
     def __init__(self, decode):
         self.decode = decode
@@ -927,13 +928,12 @@ class Chain:
 
     `state` is the one chain state, at the tip, changed in place. Connecting
     a block keeps its undo record, so a reorg disconnects back to the fork
-    point through those records and connects the other branch. A block on a
-    side branch that is not longer is checked on an overlay of the tip taken
-    back to its parent the same way, so the tip never moves for it; that
-    costs a disconnect per block between the tip and the fork point. Blocks
-    are validated once, when first reached; a failure leaves the tip where it
-    was. Other threads read `view`, the names as of the last whole
-    `add_block`.
+    point through those records and connects the other branch. A block whose
+    branch does not take the tip passes `check_block` and is stored, with no
+    walk. A block is validated once, when its branch takes the tip and the
+    block has no undo record yet; a failure takes the tip back where it was
+    and drops the failing block and every stored block above it. Other
+    threads read `view`, the names as of the last whole `add_block`.
     """
 
     def __init__(self, genesis: Block | None = None):
@@ -943,7 +943,6 @@ class Chain:
         self.blocks = LazyMap(Block.deserialize)
         self.blocks[ghash] = self.genesis
         self.undo = LazyMap(BlockUndo.decode)
-        self._checked = {ghash}
         self.state = genesis_state(self.genesis)
         self.view = ChainView(dict(self.state.assets), ghash, 0)
 
@@ -973,27 +972,24 @@ class Chain:
         """`reorg_path` from the tip to the stored block `candidate`."""
         return reorg_path(self.tip_hash, candidate, self._parent, self._height)
 
-    def _move(self, state: ChainState, target: bytes, now: int | None = None) -> str | None:
-        """Take `state`, the tip's state or an overlay of it, to `target`:
-        disconnect to the fork point, then connect up to `target`, validating
-        each block not yet checked (`target` at `now`, a stored block at its
-        own time). Stops at a failure and returns its code. Undo records are
-        kept only for the tip's own state."""
+    def _move(self, target: bytes, now: int | None = None):
+        """Take the tip's state to `target`: disconnect to the fork point, then
+        connect up to `target`, validating each block that has no undo record
+        yet (`target` at `now`, a stored block at its own time). Stops at the
+        first block that fails and returns its `(hash, code)`; else None."""
+        state = self.state
         abandoned, attached = fork_path(state.tip, target, self._parent, self._height)
         for bhash in reversed(abandoned):
             header = self.headers[bhash]
             disconnect_block(state, header, self.undo[bhash], self._recent(header.previous_hash))
         for bhash in attached:
             block = self.blocks[bhash]
-            if bhash not in self._checked:
+            if bhash not in self.undo:
                 result = validate_block(block, state,
                                         now=now if bhash == target else block.header.timestamp)
                 if not result.ok:
-                    return result.code
-                self._checked.add(bhash)
-            undo = apply_block(state, block)
-            if state is self.state:
-                self.undo[bhash] = undo
+                    return bhash, result.code
+            self.undo[bhash] = apply_block(state, block)
         return None
 
     def add_block(self, block: Block, now: int | None = None) -> AddBlockResult:
@@ -1006,7 +1002,7 @@ class Chain:
             return AddBlockResult(False, "unknown-parent")
         old_tip = self.tip_hash
         if parent != old_tip:
-            # Off the tip: the checks that need no state come before any walk.
+            # A side block's only check on arrival; its txs wait for its branch.
             result = check_block(block, self._recent(parent), self._height(parent), now)
             if not result.ok:
                 return AddBlockResult(False, result.code)
@@ -1014,22 +1010,26 @@ class Chain:
         self.blocks[bhash] = block
         path = self.branch(bhash)
         if path is None:
-            code = self._move(self.state.overlay(), bhash, now)
-        else:
-            code = self._move(self.state, bhash, now)
-            if code is not None:
-                # Back to the old tip, whose blocks are all checked, so this
-                # cannot fail.
-                self._move(self.state, old_tip)
-            state = self.state
-            if state.tip != old_tip:
-                self.view = ChainView(dict(state.assets), state.tip, state.height)
-        if code is not None:  # never connected, so it has no undo record
-            del self.headers[bhash], self.blocks[bhash]
-            return AddBlockResult(False, code)
-        if path is None or not path[0]:
             return AddBlockResult(True)
+        failed = self._move(bhash, now)
+        if failed is not None:
+            # Back to the old tip, whose blocks all have undo records, so this
+            # cannot fail. Drop the failing block and all above it: those of a
+            # block stored earlier were stored after it, so one pass finds them.
+            self._move(old_tip)
+            bad, code = failed
+            doomed = {bad}
+            if bad != bhash:
+                for h, hdr in self.headers.items():
+                    if hdr.previous_hash in doomed:
+                        doomed.add(h)
+            for h in doomed:
+                del self.headers[h], self.blocks[h]
+            return AddBlockResult(False, code)
+        self.view = ChainView(dict(self.state.assets), self.state.tip, self.state.height)
         abandoned, attached = path
+        if not abandoned:
+            return AddBlockResult(True)
         # Only a coinbase can be confirmed twice on one branch, so any other
         # tx of the abandoned blocks stays confirmed only if an attached block
         # carries it.
@@ -1067,7 +1067,6 @@ class Chain:
         while bhash != self.genesis.header.hash:
             if bhash not in undo:
                 raise ValueError(f"no undo record for block {bhash.hex()[:16]}")
-            self._checked.add(bhash)
             bhash = self._parent(bhash)
         self.undo.raw.update(undo)
         state.recent_headers = self._recent(state.tip)

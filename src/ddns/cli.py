@@ -22,6 +22,7 @@ from .errors import ConfigError, ControlFileError, DdnsError, NotFoundError
 from .keys import generate_keypair
 from .node import LocalNode, load_key_file, save_key_file
 from .resolver import Resolver, serve_doh, serve_udp
+from .store import content_id_of
 from .wire import (TYPE_NAMES, build_query, decode_message, encode_message,
                    qtype_code)
 
@@ -51,19 +52,21 @@ def cmd_keygen(args):
     return 0
 
 
-def _put_zone(node: LocalNode, zone_path: str) -> str:
+def _read_zone(zone_path: str) -> tuple[bytes, str]:
+    """A zone file's canonical bytes and their content id. The caller stores
+    them only once the tx is built, so a refused command stores nothing."""
     with open(zone_path, "rb") as fh:
-        raw = fh.read()
-    cf = parse_control_file(raw)
-    return node.store.put(serialize_canonical(cf))
+        zone = serialize_canonical(parse_control_file(fh.read()))
+    return zone, content_id_of(zone)
 
 
 def cmd_register(args):
     node = _load_node(args)
     keypair = load_key_file(args.key)
-    content_id = _put_zone(node, args.zone)
+    zone, content_id = _read_zone(args.zone)
     tx = registry.register_domain(args.name, content_id, keypair, node.state,
                                   nonce=node.next_nonce())
+    node.store.put(zone)
     txid = node.submit_transaction(tx)
     _emit(args, {"txid": txid.hex(), "content_id": content_id,
                  "asset_name": tx.asset_op.asset_name, "fee_paid": tx.asset_op.fee_paid,
@@ -76,9 +79,10 @@ def cmd_register(args):
 def cmd_update(args):
     node = _load_node(args)
     keypair = load_key_file(args.key)
-    content_id = _put_zone(node, args.zone)
+    zone, content_id = _read_zone(args.zone)
     tx = registry.update_domain(args.name, content_id, keypair, node.state,
                                 nonce=node.next_nonce())
+    node.store.put(zone)
     txid = node.submit_transaction(tx)
     _emit(args, {"txid": txid.hex(), "content_id": content_id},
           f"update submitted\ntxid: {txid.hex()}\ncontent id: {content_id}")

@@ -4,7 +4,10 @@ between the CLI, the miner, and the resolver.
 The data directory holds:
 
 - `blocks.dat`: every accepted block, side branches included, in arrival
-  order, as length-prefixed canonical bytes. It is the source of truth.
+  order, as length-prefixed canonical bytes. It is the source of truth. It
+  holds side blocks whose txs were never checked, and blocks the chain
+  dropped when their branch failed, which a replay stores again unchecked.
+  A failed append stops the node object until a reopen cuts the torn tail.
 - `undo.dat`: the undo record of each connected block (the outputs it
   spent, the asset values it replaced and its txids), framed the same way, each
   record led by its block's hash. It is appended when a snapshot is
@@ -120,6 +123,7 @@ class LocalNode:
         self._undo_path = os.path.join(config.data_dir, "undo.dat")
         self._snapshot_path = os.path.join(config.data_dir, "chainstate.snap")
         self._mempool_log_path = os.path.join(config.data_dir, "mempool.log")
+        self._stopped = None  # why the node took no more blocks, once it stops
         self._load()
 
     # -- persistence ----------------------------------------------------------
@@ -227,8 +231,14 @@ class LocalNode:
 
     def _append_block(self, block: Block):
         record = _frame(block.serialize())
-        with open(self._blocks_path, "ab") as fh:
-            fh.write(record)
+        try:
+            with open(self._blocks_path, "ab") as fh:
+                fh.write(record)
+        except OSError as exc:
+            # The chain holds a block the file lacks: take no more blocks.
+            self._stopped = (f"node stopped: blocks.dat append failed at offset "
+                             f"{self._blocks_len}: {exc}; reopen the data directory")
+            raise DdnsError(self._stopped) from exc
         self._blocks_len += len(record)
 
     def _log_submitted(self, tx: Transaction):
@@ -262,6 +272,8 @@ class LocalNode:
 
     def accept_block(self, block: Block, now: int | None = None):
         with self._lock:
+            if self._stopped:
+                raise DdnsError(self._stopped)
             old_tip = self.chain.tip_hash
             result = self.chain.add_block(block, now=now)
             if result.accepted:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
-                        DIFFICULTY_CLAMP, GENESIS_TIMESTAMP, MAX_TARGET, REGISTRATION_FEE,
+                        DIFFICULTY_CLAMP, GENESIS_TIMESTAMP, MAX_FUTURE_DRIFT, MAX_TARGET,
+                        REGISTRATION_FEE,
                         TARGET_BLOCK_TIME, AssetOperation, Block, BlockHeader, BlockUndo,
                         Chain, ChainState, Transaction, TxInput, TxOutput, Writer,
-                        adjust_difficulty, apply_block,
+                        adjust_difficulty, apply_block, check_block,
                         genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
                         select_transactions, sign_transaction, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
@@ -418,16 +419,24 @@ def test_select_transactions_respects_budget():
     assert select_transactions([tx], chain.state, budget=tx_weight(tx)) == [tx]
 
 
-def _block_with(state, txs):
+def _refit(base, txs=None, pow_ok=True, **fields):
+    """`base` with header `fields` and `txs` replaced (the merkle root
+    follows `txs` unless given), its nonce searched until the hash is at or
+    below the target, or above it when `pow_ok` is False."""
+    txs = base.transactions if txs is None else txs
+    fields.setdefault("merkle_root", merkle_root([tx.txid for tx in txs]))
+    header = replace(base.header, **fields)
+    while (int.from_bytes(header.hash, "big") <= header.difficulty_target) != pow_ok:
+        header = replace(header, nonce=header.nonce + 1)
+    return Block(header, txs)
+
+
+def _block_with(state, txs, now=None):
     """A block carrying `txs` after a fee-free coinbase, with valid PoW."""
     template = None
     while template is None:
-        template = mine_block([], state, ALICE.address)
-    txs = template.transactions[:1] + tuple(txs)
-    header = replace(template.header, merkle_root=merkle_root([tx.txid for tx in txs]))
-    while int.from_bytes(header.hash, "big") > header.difficulty_target:
-        header = replace(header, nonce=header.nonce + 1)
-    return Block(header, txs)
+        template = mine_block([], state, ALICE.address, now=now)
+    return _refit(template, template.transactions[:1] + tuple(txs))
 
 
 def test_duplicate_transaction_never_enters_a_block():
@@ -617,7 +626,15 @@ def test_reorg_logs_one_line(caplog):
         f" new_tip={block_b2.header.hash.hex()[:16]}"]
 
 
-def test_an_invalid_side_branch_block_is_rejected_on_arrival():
+def _above(chain, parent_hash, txs=(), now=None):
+    """A block on the stored block `parent_hash`, built from its headers
+    alone, so its parent may be a block no state can reach."""
+    header = chain.headers[parent_hash]
+    return _block_with(ChainState({}, {}, parent_hash, header.height, chain._recent(parent_hash)),
+                       txs, now)
+
+
+def test_an_invalid_side_branch_block_is_stored_and_dropped_when_its_branch_would_win():
     chain = fresh_chain()
     genesis = state_at(chain, chain.tip_hash)
     mined(chain, [register_tx(chain.state)])
@@ -625,27 +642,60 @@ def test_an_invalid_side_branch_block_is_rejected_on_arrival():
     mined(chain, [up])
     # Valid on the tip's branch, but the side block's parent has no such name.
     side = _block_with(genesis, [up])
-    digest, view = chain.state.digest(), chain.view
-    result = chain.add_block(side)
-    assert not result.accepted and result.code == "bad-tx(1)"
+    tip, digest, view, undo = chain.tip_hash, chain.state.digest(), chain.view, set(chain.undo)
+    assert chain.add_block(side).accepted  # stored: its txs wait for its branch
+    above = _above(chain, side.header.hash)
+    assert chain.add_block(above).accepted  # only ties the tip
     assert chain.state.digest() == digest and chain.view is view
-    assert side.header.hash not in chain.blocks and side.header.hash not in chain.headers
+    winner = _above(chain, above.header.hash)
+    result = chain.add_block(winner)
+    assert not result.accepted and result.code == "bad-tx(1)"
+    assert chain.tip_hash == tip and chain.state.digest() == digest and chain.view is view
+    assert set(chain.undo) == undo
+    for block in (side, above, winner):
+        assert block.header.hash not in chain.headers and block.header.hash not in chain.blocks
     assert chain.add_block(_block_with(genesis, [])).accepted
 
 
-def test_a_side_block_failing_a_header_check_is_rejected_before_any_walk(monkeypatch):
+# Each `check_block` rejection that builds quickly: its code, the detail that
+# tells it from others with that code, and the change to a valid side block.
+HEADER_FAULTS = {
+    "height": ("bad-height", "wrong height", lambda base, genesis: dict(height=5)),
+    "difficulty": ("bad-difficulty", "expected", lambda base, genesis: dict(
+        difficulty_target=DEFAULT_GENESIS_TARGET >> 1)),
+    "pow": ("bad-pow", "above target", lambda base, genesis: dict(pow_ok=False)),
+    "timestamp-median": ("bad-timestamp", "median", lambda base, genesis: dict(
+        timestamp=GENESIS_TIMESTAMP)),
+    "timestamp-future": ("bad-timestamp", "future", lambda base, genesis: dict(
+        timestamp=base.header.timestamp + MAX_FUTURE_DRIFT + 1)),
+    "empty": ("bad-tx", "empty block", lambda base, genesis: dict(txs=())),
+    "merkle": ("bad-merkle", "merkle", lambda base, genesis: dict(merkle_root=b"\x01" * 32)),
+    "duplicate-tx": ("bad-tx", "duplicate transaction", lambda base, genesis: dict(
+        txs=base.transactions * 2)),
+    "coinbase-first": ("bad-tx", "must be coinbase", lambda base, genesis: dict(
+        txs=(register_tx(genesis),))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+def test_a_side_block_failing_a_header_check_is_rejected_before_any_walk(monkeypatch, fault):
+    code, detail, change = HEADER_FAULTS[fault]
     chain = fresh_chain()
     genesis = state_at(chain, chain.tip_hash)
     for _ in range(3):
         mined(chain)
-    side = _block_with(genesis, [])
-    while int.from_bytes(side.header.hash, "big") <= side.header.difficulty_target:
-        side = Block(replace(side.header, nonce=side.header.nonce + 1), side.transactions)
+    base = _mined_at(genesis, spacing=20)
+    now = base.header.timestamp
+    side = _refit(base, **change(base, genesis))
+    result = check_block(side, genesis.recent_headers, genesis.height, now)
+    assert result.code == code and detail in result.detail
     walked = []
     monkeypatch.setattr(chain_module, "disconnect_block", lambda *args: walked.append(args))
-    result = chain.add_block(side)
-    assert not result.accepted and result.code == "bad-pow" and walked == []
+    result = chain.add_block(side, now=now)
+    assert not result.accepted and result.code == code and walked == []
     assert side.header.hash not in chain.headers
+    # The same block without the fault is stored.
+    assert chain.add_block(base, now=now).accepted and walked == []
 
 
 def test_a_reorg_restores_an_output_that_a_repeated_coinbase_overwrote():
@@ -678,7 +728,7 @@ def test_the_view_changes_only_between_whole_blocks(monkeypatch):
     block_b1 = _mined_at(base, address=BOB.address, spacing=20)
     assert chain.add_block(block_a, now=block_a.header.timestamp).accepted
     before, seen = chain.view, []
-    # A side block that only ties the tip is checked without moving it.
+    # A side block that only ties the tip is stored without moving it.
     assert chain.add_block(block_b1, now=block_b1.header.timestamp).accepted
     assert chain.view is before and set(chain.undo) == {block_a.header.hash}
     block_b2 = _mined_at(state_at(chain, block_b1.header.hash), address=BOB.address)
@@ -744,7 +794,7 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
     node = LocalNode(config)
     keys = {kp.address: kp for kp in (ALICE, BOB)}
     pool = []  # every signed op so far; old ones are offered again on other branches
-    seen = {"reorgs": 0, "returned": 0, "reconfirmed": 0}
+    seen = {"reorgs": 0, "returned": 0, "reconfirmed": 0, "spent-input": 0, "unknown-name": 0}
 
     def add_on(parent_hash, step):
         state = state_at(chain, parent_hash)
@@ -773,9 +823,9 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
         # The tip's undo record takes it back to its parent's state, and
         # connecting it again restores the same digest.
         digest, parent = chain.state.digest(), chain.headers[tip].previous_hash
-        assert chain._move(chain.state, parent) is None
+        assert chain._move(parent) is None
         assert chain.state.digest() == state_at(chain, parent).digest()
-        assert chain._move(chain.state, tip) is None
+        assert chain._move(tip) is None
         assert chain.state.digest() == digest
         assert node.accept_block(block, now=block.header.timestamp).accepted
         assert node.chain.tip_hash == tip
@@ -788,9 +838,62 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
             seen["reconfirmed"] += abandoned_txs - len(returned_ids)
         return block.header.hash
 
+    def invalid_txs(state, step):
+        """Txs that fail on `state`, their kind, and the block code they get."""
+        owned = [(key, out) for key, out in sorted(state.utxos.items()) if out.recipient in keys]
+        if owned and rng.random() < 0.5:
+            # Two txs spending one output: the second spends a spent input.
+            (txid, index), out = rng.choice(owned)
+            owner = keys[out.recipient]
+            return "spent-input", [
+                sign_transaction(Transaction((TxInput(txid, index, owner.public_key),),
+                                             (TxOutput(out.value, address),), None, step), owner)
+                for address in keys], "bad-tx(2)"
+        ghost = f"DDNS/GHOST{step}"
+        holding = replace(state, assets={ghost: registry.DomainAsset(ghost, ALICE.address, CID)})
+        return "unknown-name", [registry.update_domain(ghost, CID2, ALICE, holding,
+                                                       nonce=step)], "bad-tx(1)"
+
+    def rival_with_a_bad_block(step):
+        """A branch forking 1-4 blocks below the tip that would overtake it,
+        with an invalid tx in the block at a random depth."""
+        depth = rng.randint(1, min(4, chain.height))
+        fork = chain.tip_hash
+        for _ in range(depth):
+            fork = chain.headers[fork].previous_hash
+        bad_at = rng.randint(0, depth)
+        tip, digest, view = chain.tip_hash, chain.state.digest(), chain.view
+        parent, branch = fork, []
+        for i in range(depth + 1):
+            spacing = rng.randint(1, 30)
+            now = chain.headers[parent].timestamp + spacing
+            if i < bad_at:
+                block = _mined_at(state_at(chain, parent), (), rng.choice(list(keys)), spacing)
+            elif i == bad_at:
+                kind, txs, code = invalid_txs(state_at(chain, parent), step)
+                block = _block_with(state_at(chain, parent), txs, now)
+            else:
+                block = _above(chain, parent, now=now)
+            now = block.header.timestamp
+            branch.append(block)
+            result = chain.add_block(block, now=now)
+            assert node.accept_block(block, now=now) == result
+            assert result.accepted == (i < depth), result.code
+            parent = block.header.hash
+        assert result.code == code
+        assert chain.tip_hash == node.chain.tip_hash == tip and chain.view is view
+        assert chain.state.digest() == node.state.digest() == digest
+        for i, block in enumerate(branch):
+            for stored in (chain.headers, chain.blocks, node.chain.headers, node.chain.blocks):
+                assert (block.header.hash in stored) == (i < bad_at)
+        seen[kind] += 1
+
     for step in range(33):
         roll = rng.random() if step >= 3 else 1.0
-        if roll < 0.35:
+        if roll < 0.15:
+            # A rival that would overtake the tip but carries an invalid tx.
+            rival_with_a_bad_block(step)
+        elif roll < 0.45:
             # A competing branch forks 1-3 blocks below the tip and overtakes it.
             depth = rng.randint(1, 3)
             fork = chain.tip_hash
@@ -798,7 +901,7 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
                 fork = chain.blocks[fork].header.previous_hash
             for i in range(depth + 1):
                 fork = add_on(fork, 100 * step + i)
-        elif roll < 0.5:
+        elif roll < 0.58:
             # A stale block that only ties the tip.
             add_on(chain.blocks[chain.tip_hash].header.previous_hash, 100 * step)
         else:
@@ -807,8 +910,10 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
             node = LocalNode(config)
             assert node.chain.blocks.raw  # opened from a snapshot
             assert node.state.digest() == state_at(chain, chain.tip_hash).digest()
-    # The sequence reorgs, hands txs back, and mines some txs on both sides of a fork.
+    # The sequence reorgs, hands txs back, mines some txs on both sides of a
+    # fork, and refuses rivals with each kind of invalid tx.
     assert seen["reorgs"] >= 5 and seen["returned"] > 0 and seen["reconfirmed"] > 0, seen
+    assert seen["spent-input"] > 0 and seen["unknown-name"] > 0, seen
     replayed = fresh_chain()
     for h in _genesis_walk(chain.blocks, chain.tip_hash)[1:]:
         block = chain.blocks[h]

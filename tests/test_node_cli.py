@@ -670,35 +670,41 @@ def test_failed_renames_leave_no_temp_files(tmp_path, monkeypatch, caplog):
     assert reopened.chain.blocks.raw and reopened.state.digest() == node.state.digest()
 
 
+class TornFile:
+    """A file whose every write stores the first half of its data and fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def truncate(self, size):
+        self.fh.truncate(size)
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def _torn_open(name):
+    """An `open` whose files named `name` are `TornFile`s."""
+    def torn_open(path, mode="r", *args):
+        fh = open(path, mode, *args)
+        return TornFile(fh) if str(path).endswith(name) else fh
+    return torn_open
+
+
 def test_a_torn_undo_append_is_written_whole_with_the_next_snapshot(tmp_path, monkeypatch,
                                                                     caplog):
     monkeypatch.setattr(node_module, "SNAPSHOT_INTERVAL", 1)
     config = NodeConfig(data_dir=str(tmp_path / "node"))
     node = LocalNode(config)
     _mine_at(node, 1)
-
-    class TornFile:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def truncate(self, size):
-            self.fh.truncate(size)
-
-        def write(self, data):
-            self.fh.write(data[:len(data) // 2])
-            raise OSError("disk full")
-
-    def torn_open(path, mode="r", *args):
-        fh = open(path, mode, *args)
-        return TornFile(fh) if str(path).endswith("undo.dat") else fh
-
-    monkeypatch.setattr(node_module, "open", torn_open, raising=False)
+    monkeypatch.setattr(node_module, "open", _torn_open("undo.dat"), raising=False)
     with caplog.at_level(logging.WARNING, logger="ddns.node"):
         _mine_at(node, 1)
     assert len(caplog.records) == 1
@@ -709,6 +715,32 @@ def test_a_torn_undo_append_is_written_whole_with_the_next_snapshot(tmp_path, mo
         reopened = LocalNode(config)
     assert not caplog.records and reopened.chain.blocks.raw
     assert reopened.state.digest() == node.state.digest()
+
+
+def test_a_failed_block_append_stops_the_node_until_a_reopen(tmp_path, monkeypatch, caplog):
+    config = NodeConfig(data_dir=str(tmp_path / "node"))
+    node = LocalNode(config)
+    rival = LocalNode(NodeConfig(data_dir=str(tmp_path / "rival")))
+    _mine_at(node, 2)
+    _mine_at(rival, 1, BOB.address)
+    tip, digest = node.chain.tip_hash, node.state.digest()
+    monkeypatch.setattr(node_module, "open", _torn_open("blocks.dat"), raising=False)
+    with pytest.raises(DdnsError, match="blocks.dat append failed at offset"):
+        _mine_at(node, 1)
+    monkeypatch.delattr(node_module, "open")
+    # The chain in memory holds a block the file lacks, so the node takes no more.
+    side = rival.chain.blocks[rival.chain.tip_hash]
+    for attempt in (lambda: _mine_at(node, 1),
+                    lambda: node.accept_block(side, now=side.header.timestamp)):
+        with pytest.raises(DdnsError, match="node stopped: blocks.dat append failed"):
+            attempt()
+    with caplog.at_level(logging.WARNING, logger="ddns.node"):
+        reopened = LocalNode(config)
+    assert "torn final record" in caplog.text
+    assert reopened.chain.tip_hash == tip and reopened.state.digest() == digest
+    # The repair is on disk: the node mines again, and a replay agrees.
+    _mine_at(reopened, 1)
+    assert LocalNode(config).state.digest() == reopened.state.digest()
 
 
 # -- config ----------------------------------------------------------------------
@@ -815,6 +847,24 @@ def test_cli_register_a_subdomain_exit_3(env, capsys):
     assert run(env, "register", "mail.example.ddns", "--zone", env["zone"],
                "--key", env["key"]) == 3
     assert "subdomain" in capsys.readouterr().err
+
+
+def test_cli_refused_register_and_update_leave_no_object(env):
+    def objects():
+        return LocalNode(load_config(env["config"])).store.object_count()
+
+    assert run(env, "register", "mail.example.ddns", "--zone", env["zone"],
+               "--key", env["key"]) == 3
+    assert objects() == 0
+    assert run(env, "register", "example.ddns", "--zone", env["zone"], "--key", env["key"]) == 0
+    assert run(env, "mine") == 0
+    assert objects() == 1
+    other = env["dir"] / "other.json"
+    other.write_text(json.dumps({**json.loads(fixture_bytes("example_zone.json")),
+                                 "domain": "other.ddns"}))
+    assert run(env, "register", "example.ddns", "--zone", str(other), "--key", env["key"]) == 3
+    assert run(env, "update", "ghost.ddns", "--zone", str(other), "--key", env["key"]) == 3
+    assert objects() == 1
 
 
 def test_cli_mine_uses_configured_key(env):
