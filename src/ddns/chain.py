@@ -5,9 +5,13 @@ The chain keeps one mutable state at its tip. Connecting a block returns an
 undo record of the outputs it spent, the asset values it replaced and the
 outputs it created; disconnecting through that record alone, without the
 block, restores the parent's state, so a reorg costs the blocks it moves
-past, not the size of the state. A side block that does not take the tip
-passes the header checks and is stored; its txs are checked only when its
-branch takes the tip, on the tip's own state.
+past, not the size of the state. The undo record is also the one way to try
+a change: a new block is checked and connected in one pass on the tip's
+own state, and a tx that fails is taken back through the record, as are the
+txs a block template tries. A side block that does not take the tip passes
+the header checks and is stored; its txs are checked only when its branch
+takes the tip. A coinbase commits to its block's height, so no tx can be
+confirmed twice on one branch and no output is ever created over another.
 
 Canonical serialization is little-endian fixed-width integers with
 length-prefixed variable fields, fields in declaration order. Uniqueness
@@ -421,8 +425,13 @@ def retarget(difficulties, timestamps, interval) -> float:
     ratio = min(max(target / actual, 1.0 / DIFFICULTY_CLAMP), DIFFICULTY_CLAMP)
     # Base the proposal on the window-average difficulty: the measured
     # span lags the tip by a full window, and pairing it with the tip
-    # difficulty makes the control loop oscillate.
-    avg = sum(difficulties) / len(difficulties)
+    # difficulty makes the control loop oscillate. The window is summed left
+    # to right: from Python 3.12 on, `sum()` of floats compensates rounding,
+    # so it would give a different target, and a fork, across versions.
+    total = 0.0
+    for difficulty in difficulties:
+        total += difficulty
+    avg = total / len(difficulties)
     return old + DIFFICULTY_SMOOTHING * (avg * ratio - old)
 
 
@@ -445,52 +454,6 @@ def median_time_past(recent_headers) -> int:
 # Chain state
 
 
-_DELETED = object()
-
-
-class Overlay(MutableMapping):
-    """Changes kept apart from a base map, which they leave untouched: a block
-    or a block template is checked on an overlay of the tip before it is
-    connected."""
-
-    __slots__ = ("base", "changes")
-
-    def __init__(self, base):
-        self.base = base
-        self.changes = {}
-
-    def get(self, key, default=None):
-        changes = self.changes
-        if key in changes:
-            value = changes[key]
-            return default if value is _DELETED else value
-        return self.base.get(key, default)
-
-    def __contains__(self, key):
-        return self.get(key, _DELETED) is not _DELETED
-
-    def __getitem__(self, key):
-        value = self.get(key, _DELETED)
-        if value is _DELETED:
-            raise KeyError(key)
-        return value
-
-    def __setitem__(self, key, value):
-        self.changes[key] = value
-
-    def __delitem__(self, key):
-        self[key]  # KeyError when absent
-        self.changes[key] = _DELETED
-
-    def __iter__(self):
-        changes = self.changes
-        yield from (key for key in self.base if key not in changes)
-        yield from (key for key, value in changes.items() if value is not _DELETED)
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-
 def _utxo_row(key, out: TxOutput) -> list:
     return [key[0].hex(), key[1], out.value, out.recipient]
 
@@ -508,16 +471,13 @@ def _asset_from_row(row):
 @dataclass
 class ChainState:
     """The UTXO and asset maps at one block. `Chain` keeps one, at its tip,
-    and changes it in place; `overlay()` is a state to try changes on."""
+    and changes it in place; a change is tried on it and, if it fails, taken
+    back through a `BlockUndo`."""
     utxos: dict            # (txid, index) -> TxOutput
     assets: dict           # asset_name -> registry.DomainAsset
     tip: bytes
     height: int
     recent_headers: tuple  # up to the last 30 headers, oldest first
-
-    def overlay(self) -> "ChainState":
-        return ChainState(Overlay(self.utxos), Overlay(self.assets), self.tip, self.height,
-                          self.recent_headers)
 
     def digest(self) -> bytes:
         """sha256d of the sorted UTXO rows, the sorted asset rows, the tip and
@@ -566,15 +526,14 @@ class ChainView:
 
 @dataclass
 class BlockUndo:
-    """What connecting a block overwrote: the outputs it spent, in spending
-    order, each asset it changed as it was before (None: not registered),
-    and each unspent output it created again under the same key (a tx, such
-    as a repeated coinbase, whose txid is already unspent). With each tx's
-    id and input and output counts, in block order, it is all that
-    disconnecting the block needs, so a walk back never decodes a block."""
+    """What connecting a block, or trying txs on a state, overwrote: the
+    outputs spent, in spending order, and each asset changed as it was before
+    (None: not registered). With each tx's id and input and output counts,
+    in the order applied, it is all that taking the txs back needs, so a walk
+    back never decodes a block. No output is created over an unspent one,
+    since no txid is confirmed twice on a branch."""
     spent: list = field(default_factory=list)     # [((txid, index), TxOutput)]
     assets: dict = field(default_factory=dict)    # asset_name -> DomainAsset | None
-    replaced: dict = field(default_factory=dict)  # (txid, index) -> TxOutput
     txs: list = field(default_factory=list)       # [(txid, inputs, outputs)]
 
     def encode(self) -> bytes:
@@ -582,7 +541,6 @@ class BlockUndo:
             "spent": [_utxo_row(key, out) for key, out in self.spent],
             "assets": [[name, None if asset is None else astuple(asset)]
                        for name, asset in self.assets.items()],
-            "replaced": [_utxo_row(key, out) for key, out in self.replaced.items()],
             "txs": [[txid.hex(), inputs, outputs] for txid, inputs, outputs in self.txs],
         }).encode()
 
@@ -592,7 +550,6 @@ class BlockUndo:
         return cls([_utxo_from_row(row) for row in doc["spent"]],
                    {name: None if row is None else _asset_from_row(row)
                     for name, row in doc["assets"]},
-                   dict(map(_utxo_from_row, doc["replaced"])),
                    [(bytes.fromhex(txid), inputs, outputs)
                     for txid, inputs, outputs in doc["txs"]])
 
@@ -649,19 +606,48 @@ def transaction_fee(tx: Transaction, state: ChainState) -> int:
     return total_in - sum(o.value for o in tx.outputs)
 
 
-def validate_block(block: Block, state: ChainState, now: int | None = None) -> ValidationResult:
+def validate_block(block: Block, state: ChainState,
+                   now: int | None = None) -> BlockUndo | ValidationResult:
+    """Check `block` against `state`, its parent, and connect it in place:
+    each tx in block order, then the coinbase, so no tx spends an output of
+    its own block's coinbase. Returns the undo record; at the first failing
+    check, what was connected is taken back through it, so `state` is as it
+    was, and the failing result is returned instead."""
     if block.header.previous_hash != state.tip:
         return invalid("unknown-parent", "header does not extend the given state")
     result = check_block(block, state.recent_headers, state.height, now)
     if not result.ok:
         return result
-    return check_block_transactions(block, state)
+    coinbase = block.transactions[0]
+    undo = BlockUndo()
+    connected = False
+    try:
+        fees = 0
+        for i, tx in enumerate(block.transactions[1:], start=1):
+            if tx.is_coinbase:
+                return invalid(f"bad-tx({i})", "duplicate coinbase")
+            result = validate_transaction(tx, state)
+            if not result.ok:
+                return invalid(f"bad-tx({i})", f"{result.code}: {result.detail}")
+            fees += transaction_fee(tx, state)
+            _apply_transaction(state, tx, undo)
+        if sum(o.value for o in coinbase.outputs) > BLOCK_SUBSIDY + fees:
+            return invalid("bad-tx(0)", "coinbase exceeds subsidy plus fees")
+        _apply_transaction(state, coinbase, undo)
+        connected = True
+    finally:
+        if not connected:
+            _take_back(state, undo)
+    _set_tip(state, block.header)
+    return undo
 
 
 def check_block(block: Block, recent_headers: tuple, parent_height: int,
                 now: int | None = None) -> ValidationResult:
     """The checks of `validate_block` that need only the parent's height and
-    recent headers, not its state: header, proof of work, merkle root, size."""
+    recent headers, not its state: header, proof of work, merkle root, size,
+    and a coinbase first whose nonce is the block's height (which makes each
+    coinbase txid unique on a branch)."""
     import time as _time
     if now is None:
         now = int(_time.time())
@@ -687,78 +673,41 @@ def check_block(block: Block, recent_headers: tuple, parent_height: int,
         return invalid("bad-tx", "duplicate transaction")
     if block_weight(block) > MAX_BLOCK_WEIGHT:
         return invalid("overweight", f"block weight {block_weight(block)}")
-    if not block.transactions[0].is_coinbase:
-        return invalid("bad-tx", "first transaction must be coinbase")
-    return valid()
-
-
-def check_block_transactions(block: Block, state: ChainState) -> ValidationResult:
-    """The rest of `validate_block`: each tx against `state`, the block's
-    parent, as the txs before it in the block leave it."""
     coinbase = block.transactions[0]
-    working = state.overlay()
-    fees = 0
-    for i, tx in enumerate(block.transactions[1:], start=1):
-        if tx.is_coinbase:
-            return invalid(f"bad-tx({i})", "duplicate coinbase")
-        result = validate_transaction(tx, working)
-        if not result.ok:
-            return invalid(f"bad-tx({i})", f"{result.code}: {result.detail}")
-        fees += transaction_fee(tx, working)
-        _apply_transaction(working, tx)
-    coinbase_value = sum(o.value for o in coinbase.outputs)
-    if coinbase_value > BLOCK_SUBSIDY + fees:
-        return invalid("bad-tx(0)", "coinbase exceeds subsidy plus fees")
+    if not coinbase.is_coinbase:
+        return invalid("bad-tx", "first transaction must be coinbase")
+    if coinbase.nonce != header.height:
+        return invalid("bad-tx", "coinbase nonce is not the block height")
     return valid()
 
 
-def _apply_transaction(state: ChainState, tx: Transaction, undo: BlockUndo | None = None):
+def _apply_transaction(state: ChainState, tx: Transaction, undo: BlockUndo):
     """Fold a valid tx into `state` in place, noting in `undo` what it overwrote."""
     from . import registry
     utxos = state.utxos
     for txin in tx.inputs:
         key = (txin.prev_txid, txin.index)
-        spent = utxos.pop(key)
-        if undo is not None:
-            undo.spent.append((key, spent))
+        undo.spent.append((key, utxos.pop(key)))
     txid = tx.txid
-    if undo is not None:
-        undo.txs.append((txid, len(tx.inputs), len(tx.outputs)))
+    undo.txs.append((txid, len(tx.inputs), len(tx.outputs)))
     for idx, out in enumerate(tx.outputs):
-        key = (txid, idx)
-        if undo is not None and key in utxos:
-            undo.replaced[key] = utxos[key]
-        utxos[key] = out
+        utxos[(txid, idx)] = out
     op = tx.asset_op
     if op is not None:
-        if undo is not None and op.asset_name not in undo.assets:
+        if op.asset_name not in undo.assets:
             undo.assets[op.asset_name] = state.assets.get(op.asset_name)
         registry.apply_asset_operation(state.assets, tx)
 
 
-def apply_block(state: ChainState, block: Block) -> BlockUndo:
-    """Connect a valid block to `state` in place; returns its undo record."""
-    undo = BlockUndo()
-    for tx in block.transactions:
-        _apply_transaction(state, tx, undo)
-    state.tip, state.height = block.header.hash, block.header.height
-    state.recent_headers = (state.recent_headers + (block.header,))[-DIFFICULTY_WINDOW:]
-    return undo
-
-
-def disconnect_block(state: ChainState, header: BlockHeader, undo: BlockUndo,
-                     recent_headers: tuple):
-    """Reverse `apply_block` of the block with `header` in place: `state` goes
-    back to the block's parent, whose recent headers the caller gives."""
-    utxos, replaced = state.utxos, undo.replaced
+def _take_back(state: ChainState, undo: BlockUndo):
+    """Reverse in place the txs `undo` records, the last first: their outputs
+    go, the outputs they spent come back, and each asset they changed is as
+    it was before the first of them. `undo` itself is left as it is."""
+    utxos = state.utxos
     spent = list(undo.spent)
     for txid, inputs, outputs in reversed(undo.txs):
         for idx in range(outputs):
-            key = (txid, idx)
-            if key in replaced:
-                utxos[key] = replaced[key]
-            else:
-                del utxos[key]
+            del utxos[(txid, idx)]
         for _ in range(inputs):
             key, out = spent.pop()
             utxos[key] = out
@@ -767,6 +716,27 @@ def disconnect_block(state: ChainState, header: BlockHeader, undo: BlockUndo,
             del state.assets[name]
         else:
             state.assets[name] = prior
+
+
+def _set_tip(state: ChainState, header: BlockHeader):
+    state.tip, state.height = header.hash, header.height
+    state.recent_headers = (state.recent_headers + (header,))[-DIFFICULTY_WINDOW:]
+
+
+def apply_block(state: ChainState, block: Block) -> BlockUndo:
+    """Connect a valid block to `state` in place; returns its undo record."""
+    undo = BlockUndo()
+    for tx in block.transactions:
+        _apply_transaction(state, tx, undo)
+    _set_tip(state, block.header)
+    return undo
+
+
+def disconnect_block(state: ChainState, header: BlockHeader, undo: BlockUndo,
+                     recent_headers: tuple):
+    """Reverse `apply_block` of the block with `header` in place: `state` goes
+    back to the block's parent, whose recent headers the caller gives."""
+    _take_back(state, undo)
     state.tip, state.height = header.previous_hash, header.height - 1
     state.recent_headers = recent_headers
 
@@ -779,7 +749,9 @@ def select_transactions(mempool, state: ChainState, budget: int):
     """Greedy fee-rate order (ties broken by arrival order).
 
     Only txs whose inputs all exist in `state` are scored; full validation
-    happens once, against the state left by the txs chosen before.
+    happens once, against `state` as the txs chosen before leave it. Each
+    chosen tx is applied to `state` in place, and all are taken back before
+    this returns, whether or not it raises.
     """
     scored = []
     for arrival, tx in enumerate(mempool):
@@ -790,28 +762,27 @@ def select_transactions(mempool, state: ChainState, budget: int):
         scored.append((-fee / weight, arrival, tx, weight))
     scored.sort(key=lambda item: (item[0], item[1]))
     chosen = []
-    chosen_ids = set()
-    working = state.overlay()
+    undo = BlockUndo()
     used = 0
-    for _, _, tx, weight in scored:
-        if used + weight > budget:
-            continue
-        txid = tx.txid
-        if txid in chosen_ids:
-            continue
-        if not validate_transaction(tx, working).ok:
-            continue  # invalid, or conflicts with an already-selected tx
-        chosen.append(tx)
-        chosen_ids.add(txid)
-        used += weight
-        _apply_transaction(working, tx)
+    try:
+        for _, _, tx, weight in scored:
+            if used + weight > budget:
+                continue
+            if not validate_transaction(tx, state).ok:
+                continue  # invalid, a second copy, or conflicts with a chosen tx
+            chosen.append(tx)
+            used += weight
+            _apply_transaction(state, tx, undo)
+    finally:
+        _take_back(state, undo)
     return chosen
 
 
 def mine_block(mempool, state: ChainState, coinbase_address: str,
                now: int | None = None, start_nonce: int = 0,
                max_attempts: int = 1_000_000) -> Block | None:
-    """One bounded round of nonce search; None means keep trying."""
+    """One bounded round of nonce search; None means keep trying. The txs are
+    tried on `state` itself, which is as it was when this returns."""
     import time as _time
     if now is None:
         now = int(_time.time())
@@ -930,10 +901,11 @@ class Chain:
     a block keeps its undo record, so a reorg disconnects back to the fork
     point through those records and connects the other branch. A block whose
     branch does not take the tip passes `check_block` and is stored, with no
-    walk. A block is validated once, when its branch takes the tip and the
-    block has no undo record yet; a failure takes the tip back where it was
-    and drops the failing block and every stored block above it. Other
-    threads read `view`, the names as of the last whole `add_block`.
+    walk. A block is checked and connected in one pass by `validate_block`,
+    once, when its branch takes the tip and the block has no undo record
+    yet; a failure takes the tip back where it was and drops the failing
+    block and every stored block above it. Other threads read `view`, the
+    names as of the last whole `add_block`.
     """
 
     def __init__(self, genesis: Block | None = None):
@@ -974,9 +946,10 @@ class Chain:
 
     def _move(self, target: bytes, now: int | None = None):
         """Take the tip's state to `target`: disconnect to the fork point, then
-        connect up to `target`, validating each block that has no undo record
-        yet (`target` at `now`, a stored block at its own time). Stops at the
-        first block that fails and returns its `(hash, code)`; else None."""
+        connect up to `target`, checking each block that has no undo record
+        yet as it connects (`target` at `now`, a stored block at its own time).
+        Stops at the first block that fails, with the state at its parent, and
+        returns its `(hash, code)`; else None."""
         state = self.state
         abandoned, attached = fork_path(state.tip, target, self._parent, self._height)
         for bhash in reversed(abandoned):
@@ -984,12 +957,14 @@ class Chain:
             disconnect_block(state, header, self.undo[bhash], self._recent(header.previous_hash))
         for bhash in attached:
             block = self.blocks[bhash]
-            if bhash not in self.undo:
-                result = validate_block(block, state,
-                                        now=now if bhash == target else block.header.timestamp)
-                if not result.ok:
-                    return bhash, result.code
-            self.undo[bhash] = apply_block(state, block)
+            if bhash in self.undo:
+                self.undo[bhash] = apply_block(state, block)
+                continue
+            result = validate_block(block, state,
+                                    now=now if bhash == target else block.header.timestamp)
+            if not isinstance(result, BlockUndo):
+                return bhash, result.code
+            self.undo[bhash] = result
         return None
 
     def add_block(self, block: Block, now: int | None = None) -> AddBlockResult:
@@ -1030,9 +1005,8 @@ class Chain:
         abandoned, attached = path
         if not abandoned:
             return AddBlockResult(True)
-        # Only a coinbase can be confirmed twice on one branch, so any other
-        # tx of the abandoned blocks stays confirmed only if an attached block
-        # carries it.
+        # No tx is confirmed twice on one branch, so a tx of the abandoned
+        # blocks stays confirmed only if an attached block carries it.
         attached_ids = {tx.txid for h in attached for tx in self.blocks[h].transactions}
         returned = [tx for h in abandoned for tx in self.blocks[h].transactions
                     if not tx.is_coinbase and tx.txid not in attached_ids]

@@ -38,7 +38,8 @@ def verify_integrity(content_id: str, payload: bytes) -> bool:
 
 
 class ContentStore:
-    """One file per object under a two-level hex fan-out directory."""
+    """One file per object, named by its digest in hex, in one `objects`
+    directory, so a put creates no directory."""
 
     def __init__(self, root: str):
         self.root = root
@@ -53,7 +54,7 @@ class ContentStore:
 
     def _path_for(self, content_id: str) -> str:
         digest = decode_content_id(content_id).hex()
-        return os.path.join(self._objects_dir, digest[:2], digest[2:4], digest)
+        return os.path.join(self._objects_dir, digest)
 
     def put(self, payload: bytes) -> str:
         content_id = content_id_of(payload)
@@ -61,7 +62,6 @@ class ContentStore:
         if os.path.exists(path):
             return content_id
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
             write_atomic(path, payload)
         except OSError as exc:
             raise StoreUnavailableError(str(exc)) from exc
@@ -84,7 +84,4 @@ class ContentStore:
         return os.path.exists(self._path_for(content_id))
 
     def object_count(self) -> int:
-        count = 0
-        for _, _, files in os.walk(self._objects_dir):
-            count += sum(1 for f in files if ".tmp." not in f)
-        return count
+        return sum(1 for f in os.listdir(self._objects_dir) if ".tmp." not in f)

@@ -13,7 +13,7 @@ from ddns.chain import (BLOCK_SUBSIDY, COIN, DEFAULT_GENESIS_TARGET,
                         Chain, ChainState, Transaction, TxInput, TxOutput, Writer,
                         adjust_difficulty, apply_block, check_block,
                         genesis_state, make_genesis, merkle_root, mine_block, reorg_path,
-                        select_transactions, sign_transaction, transaction_fee,
+                        retarget, select_transactions, sign_transaction, transaction_fee,
                         tx_weight, validate_block, validate_transaction)
 from ddns.config import NodeConfig
 from ddns.encoding import sha256d
@@ -258,6 +258,29 @@ def test_difficulty_ratio_clamped():
     assert new_difficulty / old_difficulty <= max_rise + 1e-9
 
 
+def _compensated_sum(values):
+    """`sum()` of floats as Python 3.12 and later compute it (Neumaier)."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_retarget_sums_its_window_left_to_right():
+    # A window that compensated summation rounds differently; with `sum()`,
+    # Python 3.12 read the result as 0x1.0aedd50303c8cp+4 and forked from 3.11.
+    rng = random.Random(15)
+    difficulties = [rng.uniform(15, 17) for _ in range(30)]
+    timestamps = [GENESIS_TIMESTAMP + 15 * i + rng.randint(-5, 5) for i in range(30)]
+    left_to_right = 0.0
+    for difficulty in difficulties:
+        left_to_right += difficulty
+    assert _compensated_sum(difficulties) != left_to_right
+    assert retarget(difficulties, timestamps, TARGET_BLOCK_TIME).hex() == "0x1.0aedd50303c8bp+4"
+
+
 def test_difficulty_smoothing_direction():
     # 2x-fast blocks: unsmoothed retarget would double difficulty, the
     # smoothed step must land strictly between old and doubled
@@ -419,6 +442,54 @@ def test_select_transactions_respects_budget():
     assert select_transactions([tx], chain.state, budget=tx_weight(tx)) == [tx]
 
 
+def test_mine_block_leaves_the_state_as_it_was(monkeypatch):
+    chain = fresh_chain()
+    mined(chain, [register_tx(chain.state)])
+    state = chain.state
+    (txid, index), out = next((key, out) for key, out in sorted(state.utxos.items())
+                              if out.recipient == ALICE.address)
+    # Two txs spending one output, the better-paying one chosen.
+    pair = [sign_transaction(Transaction((TxInput(txid, index, ALICE.public_key),),
+                                         (TxOutput(out.value - fee, address),), None, 1), ALICE)
+            for fee, address in ((1, ALICE.address), (2, BOB.address))]
+    up = registry.update_domain("DDNS/EXAMPLE", CID2, ALICE, state, nonce=2)
+    over_budget = Transaction((), (), AssetOperation("update", "DDNS/EXAMPLE", "Q" * 1_000_000), 3)
+    mempool = pair + [up, up, over_budget]
+
+    def snapshot():
+        return state.digest(), state.recent_headers, set(state.utxos), set(state.assets)
+
+    before = snapshot()
+    block = mine_block(mempool, state, BOB.address)
+    assert snapshot() == before
+    assert block.transactions[1:] == (pair[1], up)
+    # A fault partway through trying the txs, or connecting them, still
+    # leaves the state as it was.
+    real = chain_module.validate_transaction
+
+    def fail_on(k):
+        calls = itertools.count(1)
+
+        def validate(tx, st):
+            if next(calls) == k:
+                raise RuntimeError("kernel fault")
+            return real(tx, st)
+        monkeypatch.setattr(chain_module, "validate_transaction", validate)
+
+    for k in range(1, 5):
+        fail_on(k)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            mine_block(mempool, state, BOB.address)
+        assert snapshot() == before
+    for k in (1, 2):
+        fail_on(k)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            validate_block(block, state)
+        assert snapshot() == before
+    monkeypatch.undo()
+    assert chain.add_block(block).accepted
+
+
 def _refit(base, txs=None, pow_ok=True, **fields):
     """`base` with header `fields` and `txs` replaced (the merkle root
     follows `txs` unless given), its nonce searched until the hash is at or
@@ -449,7 +520,7 @@ def test_duplicate_transaction_never_enters_a_block():
     parent = state_at(chain, block.header.previous_hash)
     result = validate_block(_block_with(parent, [up, up]), parent)
     assert not result.ok and result.detail == "duplicate transaction"
-    assert validate_block(_block_with(parent, [up]), parent).ok
+    assert isinstance(validate_block(_block_with(parent, [up]), parent), BlockUndo)
 
 
 # -- the per-transaction signature memo -----------------------------------------
@@ -674,6 +745,8 @@ HEADER_FAULTS = {
         txs=base.transactions * 2)),
     "coinbase-first": ("bad-tx", "must be coinbase", lambda base, genesis: dict(
         txs=(register_tx(genesis),))),
+    "coinbase-height": ("bad-tx", "not the block height", lambda base, genesis: dict(
+        txs=(replace(base.transactions[0], nonce=base.header.height + 1),))),
 }
 
 
@@ -698,27 +771,20 @@ def test_a_side_block_failing_a_header_check_is_rejected_before_any_walk(monkeyp
     assert chain.add_block(base, now=now).accepted and walked == []
 
 
-def test_a_reorg_restores_an_output_that_a_repeated_coinbase_overwrote():
+def test_a_block_repeating_an_unspent_coinbase_is_refused():
     chain = fresh_chain()
     first = mined(chain)
     coinbase = first.transactions[0]
-    # A later block repeats the first block's coinbase, whose output is unspent.
-    repeat = _block_with(chain.state, [])
-    header = replace(repeat.header, merkle_root=merkle_root([coinbase.txid]))
-    while int.from_bytes(header.hash, "big") > header.difficulty_target:
-        header = replace(header, nonce=header.nonce + 1)
-    repeat = Block(header, (coinbase,))
-    assert chain.add_block(repeat).accepted and chain.tip_hash == header.hash
-    undo = chain.undo[header.hash]
-    assert undo.replaced == {(coinbase.txid, 0): coinbase.outputs[0]}
-    assert BlockUndo.decode(undo.encode()) == undo
-    # A longer branch from the first block disconnects the repeat.
-    rival = _mined_at(state_at(chain, first.header.hash), address=BOB.address, spacing=20)
-    assert chain.add_block(rival, now=rival.header.timestamp).accepted
-    rival2 = _mined_at(state_at(chain, rival.header.hash), address=BOB.address)
-    assert chain.add_block(rival2, now=rival2.header.timestamp).reorged
-    assert chain.state.utxos[(coinbase.txid, 0)] == coinbase.outputs[0]
-    assert chain.state.digest() == state_at(chain, rival2.header.hash).digest()
+    # A later block repeats the first block's coinbase, whose output is
+    # unspent; its nonce is the first block's height, not this block's.
+    repeat = _refit(_block_with(chain.state, []), (coinbase,))
+    assert validate_block(repeat, state_at(chain, chain.tip_hash)).detail == (
+        "coinbase nonce is not the block height")
+    tip, digest, view = chain.tip_hash, chain.state.digest(), chain.view
+    result = chain.add_block(repeat)
+    assert not result.accepted and result.code == "bad-tx"
+    assert chain.tip_hash == tip and chain.state.digest() == digest and chain.view is view
+    assert repeat.header.hash not in chain.headers
 
 
 def test_the_view_changes_only_between_whole_blocks(monkeypatch):
@@ -732,10 +798,10 @@ def test_the_view_changes_only_between_whole_blocks(monkeypatch):
     assert chain.add_block(block_b1, now=block_b1.header.timestamp).accepted
     assert chain.view is before and set(chain.undo) == {block_a.header.hash}
     block_b2 = _mined_at(state_at(chain, block_b1.header.hash), address=BOB.address)
-    for name in ("apply_block", "disconnect_block"):
+    for name in ("validate_block", "apply_block", "disconnect_block"):
         real = getattr(chain_module, name)
-        monkeypatch.setattr(chain_module, name,
-                            lambda *args, real=real: seen.append(chain.view) or real(*args))
+        monkeypatch.setattr(chain_module, name, lambda *args, real=real, **kwargs:
+                            seen.append(chain.view) or real(*args, **kwargs))
     assert chain.add_block(block_b2, now=block_b2.header.timestamp).reorged
     assert len(seen) == 3 and all(view is before for view in seen)
     assert "DDNS/EXAMPLE" in before.assets and before.tip == block_a.header.hash
@@ -794,7 +860,8 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
     node = LocalNode(config)
     keys = {kp.address: kp for kp in (ALICE, BOB)}
     pool = []  # every signed op so far; old ones are offered again on other branches
-    seen = {"reorgs": 0, "returned": 0, "reconfirmed": 0, "spent-input": 0, "unknown-name": 0}
+    seen = {"reorgs": 0, "returned": 0, "reconfirmed": 0, "spent-input": 0, "unknown-name": 0,
+            "valid-then-fail": 0}
 
     def add_on(parent_hash, step):
         state = state_at(chain, parent_hash)
@@ -841,7 +908,8 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
     def invalid_txs(state, step):
         """Txs that fail on `state`, their kind, and the block code they get."""
         owned = [(key, out) for key, out in sorted(state.utxos.items()) if out.recipient in keys]
-        if owned and rng.random() < 0.5:
+        roll = rng.random()
+        if owned and roll < 1 / 3:
             # Two txs spending one output: the second spends a spent input.
             (txid, index), out = rng.choice(owned)
             owner = keys[out.recipient]
@@ -851,8 +919,25 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
                 for address in keys], "bad-tx(2)"
         ghost = f"DDNS/GHOST{step}"
         holding = replace(state, assets={ghost: registry.DomainAsset(ghost, ALICE.address, CID)})
-        return "unknown-name", [registry.update_domain(ghost, CID2, ALICE, holding,
-                                                       nonce=step)], "bad-tx(1)"
+        fails = registry.update_domain(ghost, CID2, ALICE, holding, nonce=step)
+        if roll < 2 / 3:
+            return "unknown-name", [fails], "bad-tx(1)"
+        # Valid txs before the failing one, so taking them back restores an
+        # updated asset, removes a registered one and its change output, and
+        # restores the output that paid for it.
+        valid = []
+        names = [name for name in sorted(state.assets) if state.assets[name].owner_address in keys]
+        if names:
+            name = rng.choice(names)
+            valid.append(registry.update_domain(name, CID2, keys[state.assets[name].owner_address],
+                                                state, nonce=step))
+        if owned:
+            valid.append(registry.register_domain(f"WEB3/PAID{step}", CID,
+                                                  keys[rng.choice(owned)[1].recipient], state,
+                                                  nonce=step))
+        if not valid:
+            valid.append(register_tx(state, name=f"DDNS/FREE{step}", nonce=step))
+        return "valid-then-fail", valid + [fails], f"bad-tx({len(valid) + 1})"
 
     def rival_with_a_bad_block(step):
         """A branch forking 1-4 blocks below the tip that would overtake it,
@@ -863,6 +948,7 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
             fork = chain.headers[fork].previous_hash
         bad_at = rng.randint(0, depth)
         tip, digest, view = chain.tip_hash, chain.state.digest(), chain.view
+        headers = chain.state.recent_headers
         parent, branch = fork, []
         for i in range(depth + 1):
             spacing = rng.randint(1, 30)
@@ -883,12 +969,13 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
         assert result.code == code
         assert chain.tip_hash == node.chain.tip_hash == tip and chain.view is view
         assert chain.state.digest() == node.state.digest() == digest
+        assert chain.state.recent_headers == node.state.recent_headers == headers
         for i, block in enumerate(branch):
             for stored in (chain.headers, chain.blocks, node.chain.headers, node.chain.blocks):
                 assert (block.header.hash in stored) == (i < bad_at)
         seen[kind] += 1
 
-    for step in range(33):
+    for step in range(40):
         roll = rng.random() if step >= 3 else 1.0
         if roll < 0.15:
             # A rival that would overtake the tip but carries an invalid tx.
@@ -914,6 +1001,7 @@ def test_random_forks_match_a_walk_to_genesis(tmp_path, monkeypatch):
     # fork, and refuses rivals with each kind of invalid tx.
     assert seen["reorgs"] >= 5 and seen["returned"] > 0 and seen["reconfirmed"] > 0, seen
     assert seen["spent-input"] > 0 and seen["unknown-name"] > 0, seen
+    assert seen["valid-then-fail"] > 0, seen
     replayed = fresh_chain()
     for h in _genesis_walk(chain.blocks, chain.tip_hash)[1:]:
         block = chain.blocks[h]

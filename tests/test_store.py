@@ -88,3 +88,17 @@ def test_single_bit_tamper_always_detected(data, bit):
     tampered = bytearray(data)
     tampered[bit // 8] ^= 1 << (bit % 8)
     assert not verify_integrity(content_id_of(data), bytes(tampered))
+
+
+def test_a_put_creates_no_directory(tmp_path, monkeypatch):
+    store = ContentStore(str(tmp_path))
+    made = []
+    for name in ("mkdir", "makedirs"):
+        monkeypatch.setattr(os, name, lambda *args, name=name, **kwargs: made.append(name))
+    cids = [store.put(bytes([i]) * 10) for i in range(3)]
+    assert made == []
+    # Each object is one file in `objects`, named by its digest in hex.
+    assert sorted(os.listdir(tmp_path / "objects")) == sorted(
+        decode_content_id(cid).hex() for cid in cids)
+    assert store.object_count() == 3
+    assert [store.get(cid) for cid in cids] == [bytes([i]) * 10 for i in range(3)]
